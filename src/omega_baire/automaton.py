@@ -30,11 +30,16 @@ def _as_word(symbols: Iterable[str] | str) -> tuple[str, ...]:
 
 def _as_delta(values) -> array:
     """Normalize a transition table to a compact int64 array without copying
-    element by element when the source is already binary."""
+    element by element when the source is already binary.  A numpy table
+    must have an integer dtype; floats and bools are rejected, not cast."""
     if isinstance(values, array) and values.typecode == "q":
         return values
     cls = type(values)
     if cls.__module__ == "numpy" and cls.__name__ == "ndarray":
+        if values.dtype.kind not in "iu":
+            raise ValueError(
+                f"transition table must hold integers, got dtype {values.dtype}"
+            )
         out = array("q")
         out.frombytes(values.astype("int64", copy=False).tobytes())
         return out
@@ -103,14 +108,6 @@ class DetAutomaton:
     @property
     def states(self) -> range:
         return range(self.n_states)
-
-    def target(self, state: int, symbol_idx: int) -> int:
-        """Successor by symbol index (no token lookup)."""
-        return self.delta[state * len(self.alphabet) + symbol_idx]
-
-    def successors(self, state: int) -> tuple[int, ...]:
-        r = len(self.alphabet)
-        return self.delta[state * r : (state + 1) * r]
 
     @classmethod
     def from_table(

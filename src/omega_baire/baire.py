@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 from .automaton import BuchiSet, DetAutomaton, MullerTable
@@ -59,7 +60,7 @@ class OpenWitness:
 
     automaton: DetAutomaton
     table: MullerTable
-    origin: dict[int, int | frozenset[int]] = field(hash=False)
+    origin: StateOrigin = field(hash=False)
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class WeakBuchiWitness:
 
     automaton: DetAutomaton
     accepting: BuchiSet
-    origin: dict[int, int | frozenset[int]] = field(hash=False)
+    origin: StateOrigin = field(hash=False)
 
 
 def build_open_witness(
@@ -133,7 +134,9 @@ def build_open_witness(
         alphabet=a.alphabet, n_states=n_new, initial=init_new, delta=tuple(flat)
     )
     return OpenWitness(
-        automaton=quotient, table=MullerTable(frozenset(new_entries)), origin=origin
+        automaton=quotient,
+        table=MullerTable(frozenset(new_entries)),
+        origin=MappingProxyType(origin),
     )
 
 
@@ -156,7 +159,12 @@ def build_weak_buchi_open(
 ) -> WeakBuchiWitness:
     """Open witness under Buchi acceptance: same automaton, accepting set =
     the merged states of table entries that are terminal SCCs."""
-    witness = build_open_witness(a, t, analysis)
+    return _weak_buchi_of(build_open_witness(a, t, analysis))
+
+
+def _weak_buchi_of(witness: OpenWitness) -> WeakBuchiWitness:
+    """Read an open witness under Buchi acceptance: its table entries are
+    singletons, so their states are the accepting set."""
     accepting = frozenset(next(iter(e)) for e in witness.table.entries)
     return WeakBuchiWitness(
         automaton=witness.automaton,
@@ -179,7 +187,7 @@ class BaireWitness:
     meagre_complement_muller: tuple[DetAutomaton, MullerTable]
     open_buchi: tuple[DetAutomaton, BuchiSet]
     meagre_complement_buchi: tuple[DetAutomaton, BuchiSet]
-    state_origin: Mapping[int, "int | frozenset[int]"] = field(compare=False, hash=False)
+    state_origin: StateOrigin = field(compare=False, hash=False)
     meagre_buchi_origin: Mapping[int, tuple[int, int]] = field(compare=False, hash=False)
     meagre_buchi_unpruned: int = 0
 
@@ -191,14 +199,16 @@ def build_baire_witness(
     *,
     prune: bool = True,
 ) -> BaireWitness:
-    """Assemble all four witness automata for (a, t)."""
+    """Assemble all four witness automata for (a, t) from one SCC analysis
+    and one open witness; the library, the CLI and the verifier all use this
+    bundle."""
     from .to_buchi import muller_to_buchi_maximal
 
     if analysis is None:
         analysis = analyze(a)
     open_w = build_open_witness(a, t, analysis)
     a2, t2 = build_meagre_complement(a, analysis)
-    weak = build_weak_buchi_open(a, t, analysis)
+    weak = _weak_buchi_of(open_w)
     translation = muller_to_buchi_maximal(a2, t2, analysis, prune=prune)
     return BaireWitness(
         open_muller=(open_w.automaton, open_w.table),
@@ -222,12 +232,7 @@ def classify_meagre(
     if analysis is None:
         analysis = analyze(a)
     for entry in t.entries:
-        tid = analysis.scc_id_of_set(entry)
-        if (
-            tid is not None
-            and tid in analysis.terminal
-            and not entry.isdisjoint(analysis.reachable)
-        ):
+        if analysis.is_terminal_set(entry) and not entry.isdisjoint(analysis.reachable):
             return TopoClass(meagre_flag=TriState.NO)
     return TopoClass(meagre_flag=TriState.YES)
 

@@ -15,7 +15,13 @@ import time
 from pathlib import Path
 
 from .automaton import BuchiSet, DetAutomaton, MullerTable
-from .baire import build_meagre_complement, build_open_witness, build_weak_buchi_open
+from .baire import (
+    TriState,
+    build_baire_witness,
+    build_meagre_complement,
+    build_open_witness,
+    classify_meagre,
+)
 from .errors import (
     AlphabetMismatch,
     FormatError,
@@ -57,6 +63,10 @@ def _load_muller(path: str) -> tuple[DetAutomaton, MullerTable]:
     return a, acc
 
 
+def _write(path: str, a: DetAutomaton, acc, origins=None) -> None:
+    Path(path).write_text(serialize_automaton(a, acc, origins), encoding="utf-8")
+
+
 def _fmt_set(z) -> str:
     return "{" + ",".join(str(s) for s in sorted(z)) + "}"
 
@@ -75,11 +85,11 @@ def cmd_analyze(args) -> int:
     if isinstance(acc, MullerTable):
         for entry in sorted(acc.entries, key=lambda e: tuple(sorted(e))):
             loop = is_loop(a, entry, analysis)
-            sid = analysis.scc_id_of_set(entry)
-            terminal = sid is not None and sid in analysis.terminal
+            scc = analysis.scc_id_of_set(entry) is not None
+            terminal = analysis.is_terminal_set(entry)
             print(
                 f"entry {_fmt_set(entry)}: loop={'yes' if loop else 'no'}"
-                f" scc={'yes' if sid is not None else 'no'}"
+                f" scc={'yes' if scc else 'no'}"
                 f" terminal={'yes' if terminal else 'no'}"
             )
     else:
@@ -107,86 +117,66 @@ def _condensation_dot(analysis) -> str:
 def cmd_baire(args) -> int:
     a, t = _load_muller(args.file)
     analysis = analyze(a)
-    open_w = build_open_witness(a, t, analysis)
-    a2, t2 = build_meagre_complement(a, analysis)
+    if args.buchi:
+        witness = build_baire_witness(a, t, analysis, prune=not args.no_prune)
+        (a1, t1), (a2, t2) = witness.open_muller, witness.meagre_complement_muller
+        origin = witness.state_origin
+    else:
+        open_w = build_open_witness(a, t, analysis)
+        a1, t1, origin = open_w.automaton, open_w.table, open_w.origin
+        a2, t2 = build_meagre_complement(a, analysis)
 
-    Path(args.out_open).write_text(
-        serialize_automaton(open_w.automaton, open_w.table, open_w.origin),
-        encoding="utf-8",
-    )
-    Path(args.out_meagre_complement).write_text(
-        serialize_automaton(a2, t2), encoding="utf-8"
-    )
+    _write(args.out_open, a1, t1, origin)
+    _write(args.out_meagre_complement, a2, t2)
 
-    open_reachable = _reachable_of(open_w.automaton)
-    reachable_accepting = any(
-        next(iter(e)) in open_reachable for e in open_w.table.entries
-    )
+    nonempty = classify_meagre(a, t, analysis).meagre_flag is TriState.NO
     print(f"input: {a.n_states} states, {len(t.entries)} table entries")
     print(
-        f"open witness: {open_w.automaton.n_states} states, "
-        f"{len(open_w.table.entries)} table entries -> {args.out_open}"
+        f"open witness: {a1.n_states} states, "
+        f"{len(t1.entries)} table entries -> {args.out_open}"
     )
     print(
         f"meagre complement: {a2.n_states} states, "
         f"{len(t2.entries)} table entries -> {args.out_meagre_complement}"
     )
-    print(f"E nonempty: {'true' if reachable_accepting else 'false'}")
+    print(f"E nonempty: {'true' if nonempty else 'false'}")
     print(
         "note: the meagre set F' is the complement of the language of the"
         " meagre-complement automaton"
     )
 
     if args.buchi:
-        weak = build_weak_buchi_open(a, t, analysis)
-        translation = muller_to_buchi_maximal(
-            a, t2, analysis, prune=not args.no_prune
-        )
+        b1, acc1 = witness.open_buchi
+        b2, acc2 = witness.meagre_complement_buchi
         out_b1 = args.out_buchi_open or args.out_open + ".buchi"
         out_b2 = (
             args.out_buchi_meagre_complement
             or args.out_meagre_complement + ".buchi"
         )
-        Path(out_b1).write_text(
-            serialize_automaton(weak.automaton, weak.accepting, weak.origin),
-            encoding="utf-8",
-        )
-        Path(out_b2).write_text(
-            serialize_automaton(
-                translation.automaton, translation.accepting, translation.origin
-            ),
-            encoding="utf-8",
+        _write(out_b1, b1, acc1, origin)
+        _write(out_b2, b2, acc2, witness.meagre_buchi_origin)
+        print(
+            f"buchi open witness: {b1.n_states} states, "
+            f"{len(acc1.accepting)} accepting -> {out_b1}"
         )
         print(
-            f"buchi open witness: {weak.automaton.n_states} states, "
-            f"{len(weak.accepting.accepting)} accepting -> {out_b1}"
-        )
-        print(
-            f"buchi meagre complement: {translation.automaton.n_states} states "
-            f"(unpruned {translation.unpruned_state_count}) -> {out_b2}"
+            f"buchi meagre complement: {b2.n_states} states "
+            f"(unpruned {witness.meagre_buchi_unpruned}) -> {out_b2}"
         )
     return EXIT_OK
 
 
-def _reachable_of(a: DetAutomaton) -> frozenset[int]:
-    return analyze(a).reachable
-
-
 def cmd_to_buchi(args) -> int:
     a, t = _load_muller(args.file)
-    report = check_maximal_loops(a, t)
+    analysis = analyze(a)
+    report = check_maximal_loops(a, t, analysis)
     if not report.ok:
         print(report.describe(), file=sys.stderr)
         return EXIT_PRECONDITION
     if report.non_loops:
         print(report.describe(), file=sys.stderr)
-    translation = muller_to_buchi_maximal(a, t, prune=not args.no_prune)
-    Path(args.out).write_text(
-        serialize_automaton(
-            translation.automaton, translation.accepting, translation.origin
-        ),
-        encoding="utf-8",
-    )
+    translation = muller_to_buchi_maximal(a, t, analysis, prune=not args.no_prune)
+    _write(args.out, translation.automaton, translation.accepting, translation.origin)
     print(
         f"buchi automaton: {translation.automaton.n_states} states "
         f"(unpruned {translation.unpruned_state_count}), "

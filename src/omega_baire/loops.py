@@ -1,4 +1,5 @@
-"""Graph substrate: SCC decomposition, loops, and loop-completing words.
+"""Graph substrate: the SCC decomposition and the level-order walk that the
+whole package shares, loops, and loop-completing words.
 
 A loop is a nonempty state set reachable from the initial state whose induced
 subgraph (transitions with both endpoints inside the set) is strongly
@@ -9,9 +10,8 @@ one-state components, and terminal SCCs absorb every continuation.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Collection, Container, Iterable, Iterator, Sequence
 
 from .automaton import DetAutomaton, LassoWord, MullerTable, inf_from_state, inf_set
 from .errors import BadLoop, BadStateIndex, SizeGuard
@@ -52,40 +52,67 @@ class SccAnalysis:
         return i is not None and i in self.terminal
 
 
-def _reachable_states(a: DetAutomaton) -> frozenset[int]:
-    r = len(a.alphabet)
-    delta = a.delta
-    seen = {a.initial}
-    frontier = deque([a.initial])
-    while frontier:
-        s = frontier.popleft()
-        base = s * r
-        for x in range(r):
-            t = delta[base + x]
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    return frozenset(seen)
+def bfs_parents(
+    delta: Sequence[int],
+    r: int,
+    start: int,
+    allowed: Container[int] | None = None,
+    depth: int | None = None,
+) -> dict[int, tuple[int, int]]:
+    """Level-order walk from `start` over a flat table with `r` symbols.
+
+    Returns the parent links {state: (predecessor, symbol index)} in
+    discovery order, `start` first with (-1, -1).  Successors are taken in
+    symbol order, so each state keeps the lexicographically first of its
+    shortest paths.  Only states in `allowed` are entered, and with `depth`
+    only states at most that many steps from `start`.
+    """
+    parent = {start: (-1, -1)}
+    frontier = [start]
+    level = 0
+    while frontier and (depth is None or level < depth):
+        level += 1
+        nxt: list[int] = []
+        for s in frontier:
+            base = s * r
+            for x in range(r):
+                t = delta[base + x]
+                if t in parent or (allowed is not None and t not in allowed):
+                    continue
+                parent[t] = (s, x)
+                nxt.append(t)
+        frontier = nxt
+    return parent
 
 
-def analyze(a: DetAutomaton) -> SccAnalysis:
-    """SCCs, condensation edges, terminal SCCs, and reachability, in O(n*|X|).
+def scc_decompose(
+    a: DetAutomaton, allowed: Collection[int] | None = None
+) -> list[frozenset[int]]:
+    """SCCs of the subgraph induced by `allowed` (default: every state),
+    sorted by smallest member.
 
     Tarjan's algorithm, iterative so that long chains do not overflow the
-    interpreter stack.
+    interpreter stack.  States outside `allowed` are marked visited up front
+    and never sit on the stack, so edges into them are ignored.
     """
     n = a.n_states
     r = len(a.alphabet)
     delta = a.delta
 
-    index = [-1] * n
+    if allowed is None:
+        allowed = range(n)
+        index = [-1] * n
+    else:
+        index = [-2] * n
+        for s in allowed:
+            index[s] = -1
     low = [0] * n
     on_stack = bytearray(n)
     stack: list[int] = []
     comps: list[frozenset[int]] = []
     counter = 0
 
-    for root in range(n):
+    for root in allowed:
         if index[root] != -1:
             continue
         work: list[list[int]] = [[root, 0]]
@@ -127,6 +154,15 @@ def analyze(a: DetAutomaton) -> SccAnalysis:
                 comps.append(frozenset(comp))
 
     comps.sort(key=min)
+    return comps
+
+
+def analyze(a: DetAutomaton) -> SccAnalysis:
+    """SCCs, condensation edges, terminal SCCs, and reachability, in O(n*|X|)."""
+    n = a.n_states
+    r = len(a.alphabet)
+    delta = a.delta
+    comps = scc_decompose(a)
     scc_of = [0] * n
     for i, comp in enumerate(comps):
         for s in comp:
@@ -148,20 +184,25 @@ def analyze(a: DetAutomaton) -> SccAnalysis:
         sccs=tuple(comps),
         condensation_edges=frozenset(edges),
         terminal=terminal,
-        reachable=_reachable_states(a),
+        reachable=frozenset(bfs_parents(delta, r, a.initial)),
     )
+
+
+def self_loop_symbol(a: DetAutomaton, s: int) -> int | None:
+    """Index of the first symbol that maps `s` to itself, or None; a
+    singleton set, or a one-state SCC, is a loop iff this is not None."""
+    r = len(a.alphabet)
+    return next((x for x in range(r) if a.delta[s * r + x] == s), None)
 
 
 def _induced_strongly_connected(a: DetAutomaton, zs: frozenset[int]) -> bool:
     """Strong connectivity of the subgraph induced by `zs`; singletons need a
     self-transition."""
+    if len(zs) == 1:
+        return self_loop_symbol(a, next(iter(zs))) is not None
+
     r = len(a.alphabet)
     delta = a.delta
-    if len(zs) == 1:
-        (s,) = zs
-        base = s * r
-        return any(delta[base + x] == s for x in range(r))
-
     fwd: dict[int, set[int]] = {s: set() for s in zs}
     rev: dict[int, set[int]] = {s: set() for s in zs}
     for s in zs:
@@ -201,7 +242,10 @@ def is_loop(
             raise BadStateIndex(f"state {s} out of range")
     if not zs:
         return False
-    reachable = analysis.reachable if analysis is not None else _reachable_states(a)
+    if analysis is None:
+        reachable = bfs_parents(a.delta, len(a.alphabet), a.initial)
+    else:
+        reachable = analysis.reachable
     if zs.isdisjoint(reachable):
         return False
     return _induced_strongly_connected(a, zs)
@@ -354,19 +398,7 @@ def lassos_cover_loops(a: DetAutomaton, bound: int) -> set[frozenset[int]]:
     `bound` steps.
     """
     r = len(a.alphabet)
-    reachable_in_bound = {a.initial}
-    frontier = {a.initial}
-    for _ in range(bound):
-        nxt = set()
-        for s in frontier:
-            for x in range(r):
-                nxt.add(a.delta[s * r + x])
-        frontier = nxt - reachable_in_bound
-        reachable_in_bound |= nxt
-        if not frontier:
-            break
-
-    starts = sorted(reachable_in_bound)
+    starts = sorted(bfs_parents(a.delta, r, a.initial, depth=bound))
     seen: set[frozenset[int]] = set()
     periods: list[tuple[int, ...]] = [()]
     for _ in range(bound):

@@ -26,17 +26,20 @@ from .automaton import (
     accepts_buchi,
     accepts_muller,
 )
-from .baire import build_meagre_complement, build_open_witness, build_weak_buchi_open
+from .baire import build_baire_witness
 from .errors import AlphabetMismatch, PreconditionViolated, SizeGuard
 from .loops import (
     DEFAULT_ENUMERATION_BUDGET,
     SccAnalysis,
     analyze,
+    bfs_parents,
     enumerate_loops,
     is_loop,
     iter_loops,
+    scc_decompose,
+    self_loop_symbol,
 )
-from .to_buchi import buchi_state_bound, check_maximal_loops, muller_to_buchi_maximal
+from .to_buchi import buchi_state_bound, check_maximal_loops
 
 DEFAULT_PRODUCT_BUDGET = 4096
 DEFAULT_SCAN_BUDGET = 1 << 19
@@ -167,31 +170,17 @@ def _bfs_path(
 ) -> tuple[list[str], int]:
     """Shortest path (symbol list, end state) to the first goal state in BFS
     order; `allowed` restricts the walk.  Raises if unreachable."""
-    r = len(a.alphabet)
-    if goal(start):
-        return [], start
-    parent: dict[int, tuple[int, int]] = {start: (-1, -1)}
-    frontier = [start]
-    while frontier:
-        nxt: list[int] = []
-        for s in frontier:
-            for x in range(r):
-                t = a.delta[s * r + x]
-                if t in parent or (allowed is not None and t not in allowed):
-                    continue
-                parent[t] = (s, x)
-                if goal(t):
-                    symbols: list[str] = []
-                    cur = t
-                    while cur != start:
-                        p, px = parent[cur]
-                        symbols.append(a.alphabet[px])
-                        cur = p
-                    symbols.reverse()
-                    return symbols, t
-                nxt.append(t)
-        frontier = nxt
-    raise RuntimeError("goal not reachable")
+    parent = bfs_parents(a.delta, len(a.alphabet), start, allowed)
+    end = next((s for s in parent if goal(s)), None)
+    if end is None:
+        raise RuntimeError("goal not reachable")
+    symbols: list[str] = []
+    cur = end
+    while cur != start:
+        cur, x = parent[cur]
+        symbols.append(a.alphabet[x])
+    symbols.reverse()
+    return symbols, end
 
 
 def loop_lasso(a: DetAutomaton, z: frozenset[int]) -> LassoWord:
@@ -211,9 +200,7 @@ def loop_lasso(a: DetAutomaton, z: frozenset[int]) -> LassoWord:
         current = end
     if current != target or not period:
         if current == target:
-            r = len(a.alphabet)
-            x = next(x for x in range(r) if a.delta[target * r + x] == target)
-            period.append(a.alphabet[x])
+            period.append(a.alphabet[self_loop_symbol(a, target)])
         else:
             syms, _ = _bfs_path(a, current, lambda s: s == target, allowed=z)
             period.extend(syms)
@@ -264,8 +251,7 @@ def language_subset_oracle(
     predA = _member_pred(accA)
     predB = _member_pred(accB)
     left, right = prod.left, prod.right
-    analysis = analyze(prod.automaton)
-    for z in iter_loops(prod.automaton, budget=loop_budget, analysis=analysis):
+    for z in iter_loops(prod.automaton, budget=loop_budget):
         zl = frozenset(left[q] for q in z)
         zr = frozenset(right[q] for q in z)
         if predA(zl) and not predB(zr):
@@ -275,70 +261,6 @@ def language_subset_oracle(
 
 # ---------------------------------------------------------------------------
 # Exact equivalence: maximal-loop Muller vs Buchi
-
-
-def _sub_sccs(a: DetAutomaton, allowed: list[int]) -> list[list[int]]:
-    """SCCs of the subgraph induced by `allowed`, iterative Tarjan."""
-    allowed_set = set(allowed)
-    r = len(a.alphabet)
-    delta = a.delta
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in allowed:
-        if root in index:
-            continue
-        work = [[root, 0]]
-        while work:
-            frame = work[-1]
-            v, xi = frame
-            if xi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            pushed = False
-            while xi < r:
-                w = delta[v * r + xi]
-                xi += 1
-                if w not in allowed_set:
-                    continue
-                if w not in index:
-                    frame[1] = xi
-                    work.append([w, 0])
-                    pushed = True
-                    break
-                if w in on_stack and index[w] < low[v]:
-                    low[v] = index[w]
-            if pushed:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-    comps.sort(key=lambda c: c[0])
-    return comps
-
-
-def _loopable(a: DetAutomaton, comp: list[int]) -> bool:
-    if len(comp) > 1:
-        return True
-    (s,) = comp
-    r = len(a.alphabet)
-    return any(a.delta[s * r + x] == s for x in range(r))
 
 
 def maximal_muller_buchi_equiv(
@@ -358,7 +280,8 @@ def maximal_muller_buchi_equiv(
     one required state of a table block (or sitting over a non-table SCC),
     or a loop that covers a whole table block while avoiding the Buchi set.
     """
-    report = check_maximal_loops(aA, t)
+    analysisA = analyze(aA)
+    report = check_maximal_loops(aA, t, analysisA)
     if not report.ok:
         raise PreconditionViolated(report.describe())
     blocks = set(report.blocks)
@@ -367,17 +290,17 @@ def maximal_muller_buchi_equiv(
     prod = product(aA, aB, budget=product_budget)
     P = prod.automaton
     left, right = prod.left, prod.right
-    analysisA = analyze(aA)
     hit = [right[p] in b.accepting for p in range(P.n_states)]
 
     by_scc: dict[int, list[int]] = {}
     for p in range(P.n_states):
         by_scc.setdefault(analysisA.scc_of[left[p]], []).append(p)
 
-    def first_violation(sub: list[int], want: Callable[[list[int]], bool]):
-        for comp in _sub_sccs(P, sub):
-            if _loopable(P, comp) and want(comp):
-                return frozenset(comp)
+    def first_violation(sub: list[int], want: Callable[[frozenset[int]], bool]):
+        for comp in scc_decompose(P, sub):
+            loopable = len(comp) > 1 or self_loop_symbol(P, min(comp)) is not None
+            if loopable and want(comp):
+                return comp
         return None
 
     for d in sorted(by_scc):
@@ -435,19 +358,9 @@ def bounded_lasso_scan(
     if cost > budget:
         raise SizeGuard(f"lasso scan needs about {cost} steps, budget is {budget}")
 
-    starts: dict[int, tuple[str, ...]] = {a.initial: ()}
-    frontier = [a.initial]
-    for _ in range(max_prefix):
-        nxt: list[int] = []
-        for s in frontier:
-            for x in range(r):
-                t = delta[s * r + x]
-                if t not in starts:
-                    starts[t] = starts[s] + (a.alphabet[x],)
-                    nxt.append(t)
-        if not nxt:
-            break
-        frontier = nxt
+    starts: dict[int, tuple[str, ...]] = {}
+    for t, (s, x) in bfs_parents(delta, r, a.initial, depth=max_prefix).items():
+        starts[t] = () if s < 0 else starts[s] + (a.alphabet[x],)
     start_items = sorted(starts.items())
 
     step_maps = [[delta[s * r + x] for s in range(n)] for x in range(r)]
@@ -548,11 +461,7 @@ def random_instance(spec: RandomSpec) -> tuple[DetAutomaton, MullerTable]:
     except SizeGuard:
         # Too many subsets to enumerate: reachable SCCs are loops and keep
         # the half-from-loops contract at any scale.
-        pool = [
-            c
-            for c in analysis.sccs
-            if not c.isdisjoint(analysis.reachable) and is_loop(a, c, analysis)
-        ]
+        pool = [c for c in analysis.sccs if is_loop(a, c, analysis)]
 
     want = spec.table_entry_count
     from_loops = round(want * spec.loop_entry_fraction)
@@ -663,8 +572,8 @@ def verify_baire_witness(
     scan_budget: int = DEFAULT_SCAN_BUDGET,
     skip_over_budget: bool = False,
 ) -> WitnessReport:
-    """Run the whole witness pipeline on (a, t) and re-verify every claimed
-    property of the outputs.
+    """Build the witness bundle with `build_baire_witness` and re-verify
+    every claimed property of exactly that bundle.
 
     Checks: the table-level symmetric-difference identity behind the open
     witness, the inclusion of the symmetric difference in the meagre set via
@@ -677,12 +586,12 @@ def verify_baire_witness(
     """
     analysis = analyze(a)
     t.validate_for(a.n_states)
-    open_w = build_open_witness(a, t, analysis)
-    _, meagre_table = build_meagre_complement(a, analysis)
-    weak = build_weak_buchi_open(a, t, analysis)
-    translation = muller_to_buchi_maximal(a, meagre_table, analysis)
-
-    a1, t1 = open_w.automaton, open_w.table
+    witness = build_baire_witness(a, t, analysis)
+    a1, t1 = witness.open_muller
+    _, meagre_table = witness.meagre_complement_muller
+    b1_automaton, b1_accepting = witness.open_buchi
+    b2_automaton, b2_accepting = witness.meagre_complement_buchi
+    unpruned = witness.meagre_buchi_unpruned
     term_sets = set(analysis.terminal_sccs)
     checks: list[CheckResult] = []
 
@@ -758,15 +667,15 @@ def verify_baire_witness(
 
     def b1_language() -> CheckResult:
         verdict = maximal_muller_buchi_equiv(
-            a1, t1, a1, weak.accepting, product_budget=product_budget
+            a1, t1, b1_automaton, b1_accepting, product_budget=product_budget
         )
         if verdict.holds:
             return CheckResult("b1-language", "pass")
         return CheckResult("b1-language", "fail", witness=verdict.counterexample)
 
     def b1_weak() -> CheckResult:
-        acc = weak.accepting.accepting
-        for z in iter_loops(a1, budget=loop_budget):
+        acc = b1_accepting.accepting
+        for z in iter_loops(b1_automaton, budget=loop_budget):
             if not (z <= acc or z.isdisjoint(acc)):
                 return CheckResult(
                     "b1-weak", "fail", detail=f"straddling loop {sorted(z)}"
@@ -777,8 +686,8 @@ def verify_baire_witness(
         verdict = maximal_muller_buchi_equiv(
             a,
             meagre_table,
-            translation.automaton,
-            translation.accepting,
+            b2_automaton,
+            b2_accepting,
             product_budget=product_budget,
         )
         if verdict.holds:
@@ -788,11 +697,8 @@ def verify_baire_witness(
     def b2_bound() -> CheckResult:
         expected = buchi_state_bound(a, meagre_table, analysis)
         n = a.n_states
-        ok = (
-            translation.unpruned_state_count == expected
-            and expected <= n + n * n
-        )
-        detail = f"unpruned {translation.unpruned_state_count}, bound {expected}"
+        ok = unpruned == expected and expected <= n + n * n
+        detail = f"unpruned {unpruned}, bound {expected}"
         return CheckResult("b2-bound", "pass" if ok else "fail", detail=detail)
 
     guarded("symdiff-symbolic", symdiff_symbolic)
@@ -801,9 +707,8 @@ def verify_baire_witness(
     except SizeGuard as e:
         if not skip_over_budget:
             raise
-        checks.append(CheckResult("symdiff-loops", "skip", detail=str(e)))
-        checks.append(CheckResult("symdiff-lassos", "skip", detail=str(e)))
-        checks.append(CheckResult("symdiff-agreement", "skip", detail=str(e)))
+        for name in ("symdiff-loops", "symdiff-lassos", "symdiff-agreement"):
+            checks.append(CheckResult(name, "skip", detail=str(e)))
     if prod1 is not None:
         guarded("symdiff-loops", symdiff_loops)
         guarded("symdiff-lassos", symdiff_lassos)
@@ -829,7 +734,7 @@ def verify_baire_witness(
         n_states=a.n_states,
         table_size=len(t.entries),
         open_states=a1.n_states,
-        buchi_states=translation.automaton.n_states,
-        buchi_unpruned=translation.unpruned_state_count,
+        buchi_states=b2_automaton.n_states,
+        buchi_unpruned=unpruned,
         checks=tuple(checks),
     )

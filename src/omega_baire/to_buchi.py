@@ -20,7 +20,7 @@ from typing import Iterator, Literal
 
 from .automaton import BuchiSet, DetAutomaton, MullerTable
 from .errors import PreconditionViolated
-from .loops import SccAnalysis, analyze, is_loop
+from .loops import SccAnalysis, analyze, bfs_parents, is_loop
 
 # Above this many (state, symbol) table cells the construction switches to
 # the vectorized path.
@@ -44,17 +44,14 @@ class MaximalLoopReport:
         return self.ok
 
     def describe(self) -> str:
-        parts = []
-        if self.non_maximal:
-            sets = " ".join(
-                "{" + ",".join(map(str, sorted(z))) + "}" for z in self.non_maximal
+        parts = [
+            f"{label}: " + " ".join("{" + ",".join(map(str, sorted(z))) + "}" for z in sets)
+            for label, sets in (
+                ("non-maximal loop entries", self.non_maximal),
+                ("dropped non-loop entries", self.non_loops),
             )
-            parts.append(f"non-maximal loop entries: {sets}")
-        if self.non_loops:
-            sets = " ".join(
-                "{" + ",".join(map(str, sorted(z))) + "}" for z in self.non_loops
-            )
-            parts.append(f"dropped non-loop entries: {sets}")
+            if sets
+        ]
         return "; ".join(parts) if parts else "all loop entries are maximal"
 
 
@@ -90,13 +87,8 @@ def buchi_state_bound(
 ) -> int:
     """Exact unpruned state count of the translation: |S| plus the squared
     size of every maximal loop entry."""
-    if analysis is None:
-        analysis = analyze(a)
-    total = a.n_states
-    for entry in t.entries:
-        if is_loop(a, entry, analysis) and analysis.scc_id_of_set(entry) is not None:
-            total += len(entry) ** 2
-    return total
+    blocks = check_maximal_loops(a, t, analysis).blocks
+    return a.n_states + sum(len(b) ** 2 for b in blocks)
 
 
 class LayeredOrigins(Mapping):
@@ -110,7 +102,12 @@ class LayeredOrigins(Mapping):
         self._offsets = offsets
 
     def __getitem__(self, new_idx: int) -> tuple[int, int]:
-        idx = self._kept[new_idx]
+        try:
+            if new_idx < 0:  # would wrap around in the sequence
+                raise IndexError(new_idx)
+            idx = self._kept[new_idx]
+        except (IndexError, TypeError):
+            raise KeyError(new_idx) from None
         if idx < self._n:
             return (idx, 0)
         bi = bisect_right(self._offsets, idx) - 1
@@ -221,18 +218,7 @@ def _layered_delta_numpy(
 
 
 def _prune_python(flat: list[int], r: int, total: int, initial: int):
-    seen = bytearray(total)
-    seen[initial] = 1
-    frontier = [initial]
-    while frontier:
-        s = frontier.pop()
-        base = s * r
-        for x in range(r):
-            t = flat[base + x]
-            if not seen[t]:
-                seen[t] = 1
-                frontier.append(t)
-    kept = [s for s in range(total) if seen[s]]
+    kept = sorted(bfs_parents(flat, r, initial))
     renumber = [-1] * total
     for new, old in enumerate(kept):
         renumber[old] = new

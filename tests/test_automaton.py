@@ -45,6 +45,20 @@ class TestDetAutomaton:
         )
         assert built == ex1
 
+    @pytest.mark.parametrize("delta", [[0.9, 1.7], [True, False]])
+    def test_validation_rejects_non_integer_numpy_table(self, delta):
+        np = pytest.importorskip("numpy")
+        with pytest.raises(ValueError):
+            DetAutomaton(alphabet=("a",), n_states=2, initial=0, delta=np.array(delta))
+
+    def test_numpy_integer_tables_accepted(self):
+        np = pytest.importorskip("numpy")
+        for dtype in (np.int32, np.uint8, np.int64):
+            a = DetAutomaton(
+                alphabet=("a",), n_states=2, initial=0, delta=np.array([1, 0], dtype=dtype)
+            )
+            assert list(a.delta) == [1, 0]
+
     def test_hashable_and_equal(self, ex1):
         other = DetAutomaton(alphabet=("a", "b"), n_states=2, initial=0, delta=[0, 1, 0, 1])
         assert other == ex1

@@ -131,6 +131,15 @@ class TestBuildOpenWitness:
                         break
                 assert accepts_muller(w.automaton, w.table, lasso) == reached
 
+    def test_origin_maps_are_read_only(self, ex2):
+        t = MullerTable.of({1})
+        for witness in (build_open_witness(ex2, t), build_weak_buchi_open(ex2, t)):
+            with pytest.raises(TypeError):
+                witness.origin[99] = 5
+            with pytest.raises(TypeError):
+                del witness.origin[0]
+            assert witness.origin[0] == 0
+
 
 class TestMeagreComplement:
     def test_ex1(self, ex1):

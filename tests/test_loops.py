@@ -19,7 +19,7 @@ from omega_baire import (
     run,
     words_to_state,
 )
-from omega_baire.loops import lassos_cover_loops
+from omega_baire.loops import bfs_parents, lassos_cover_loops, scc_decompose
 from conftest import (
     brute_is_loop,
     brute_loop_completing,
@@ -112,6 +112,61 @@ class TestAnalyze:
                             for tok in w:
                                 cur = run(a, cur, (tok,))
                                 assert cur in scc
+
+
+class TestSharedWalks:
+    @staticmethod
+    def _reach_within(a, src, allowed):
+        r = len(a.alphabet)
+        seen, stack = {src}, [src]
+        while stack:
+            s = stack.pop()
+            for x in range(r):
+                t = a.delta[s * r + x]
+                if t in allowed and t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return seen
+
+    def test_scc_decompose_matches_mutual_reachability(self):
+        rng = random.Random(41)
+        for _ in range(80):
+            n = rng.randint(1, 9)
+            a = random_automaton(rng, n, rng.randint(1, 3))
+            allowed = {s for s in range(n) if rng.random() < 0.7}
+            for subset in (None, allowed):
+                inside = set(range(n)) if subset is None else subset
+                fwd = {s: self._reach_within(a, s, inside) for s in inside}
+                expected = sorted(
+                    {frozenset(t for t in fwd[s] if s in fwd[t]) for s in inside},
+                    key=min,
+                )
+                assert scc_decompose(a, subset) == expected
+
+    def test_bfs_parents_levels_and_paths(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            a = random_automaton(rng, n, rng.randint(1, 3))
+            r = len(a.alphabet)
+            start = rng.randrange(n)
+            allowed = {s for s in range(n) if rng.random() < 0.7}
+            parent = bfs_parents(a.delta, r, start, allowed)
+            assert set(parent) == self._reach_within(a, start, allowed) | {start}
+
+            def depth(s):
+                d = 0
+                while s != start:
+                    p, x = parent[s]
+                    assert a.delta[p * r + x] == s
+                    s, d = p, d + 1
+                return d
+
+            depths = [depth(s) for s in parent]
+            assert depths == sorted(depths)
+            for bound in range(4):
+                limited = bfs_parents(a.delta, r, start, allowed, depth=bound)
+                assert list(limited) == [s for s in parent if depth(s) <= bound]
 
 
 class TestIsLoop:

@@ -425,7 +425,9 @@ class TestCheckersCatchCorruption:
     def test_verify_catches_broken_quotient(self, monkeypatch):
         # Sabotage the open-witness table: accept the wrong merged state, so
         # the open language becomes the b-branch instead of the a-branch.
-        import omega_baire.oracle as oracle_mod
+        # The verifier checks the bundle of build_baire_witness, so the
+        # sabotage goes where that pipeline looks the builder up.
+        import omega_baire.baire as baire_mod
         from omega_baire import build_open_witness
         from omega_baire.baire import OpenWitness
 
@@ -441,7 +443,7 @@ class TestCheckersCatchCorruption:
             broken = MullerTable(frozenset({frozenset({m}) for m in wrong}))
             return OpenWitness(automaton=w.automaton, table=broken, origin=w.origin)
 
-        monkeypatch.setattr(oracle_mod, "build_open_witness", sabotaged)
+        monkeypatch.setattr(baire_mod, "build_open_witness", sabotaged)
         ex2 = DetAutomaton(
             alphabet=("a", "b"), n_states=3, initial=0, delta=(1, 2, 1, 1, 2, 2)
         )
@@ -451,8 +453,9 @@ class TestCheckersCatchCorruption:
         assert "symdiff-loops" in failed and "symdiff-lassos" in failed
 
     def test_verify_catches_broken_translation(self, monkeypatch):
-        # Sabotage the layered translation's accepting set.
-        import omega_baire.oracle as oracle_mod
+        # Sabotage the layered translation's accepting set inside the
+        # pipeline that the verifier checks.
+        import omega_baire.to_buchi as to_buchi_mod
         from omega_baire import muller_to_buchi_maximal as real
         from omega_baire.to_buchi import BuchiTranslation
 
@@ -466,7 +469,7 @@ class TestCheckersCatchCorruption:
                 blocks=tr.blocks,
             )
 
-        monkeypatch.setattr(oracle_mod, "muller_to_buchi_maximal", sabotaged)
+        monkeypatch.setattr(to_buchi_mod, "muller_to_buchi_maximal", sabotaged)
         ex2 = DetAutomaton(
             alphabet=("a", "b"), n_states=3, initial=0, delta=(1, 2, 1, 1, 2, 2)
         )

@@ -93,6 +93,20 @@ class TestStateBound:
             assert bound <= n + n * n
 
 
+class TestLayeredOrigins:
+    def test_keys_are_exactly_the_output_states(self, ex3):
+        for prune in (True, False):
+            origin = muller_to_buchi_maximal(ex3, MullerTable.of({0, 1}), prune=prune).origin
+            n = len(origin)
+            assert list(origin) == list(range(n))
+            for key in (-1, n, n + 5, "0", None):
+                assert key not in origin
+                assert origin.get(key) is None
+                with pytest.raises(KeyError):
+                    origin[key]
+            assert origin.get(n - 1) is not None
+
+
 class TestEx3HandTraces:
     def test_layered_run_a_omega(self, ex3):
         tr = muller_to_buchi_maximal(ex3, MullerTable.of({0, 1}), prune=False)
