@@ -19,13 +19,15 @@ from .errors import BadStateIndex, UnknownSymbol
 
 Word = Sequence[str]
 
-# Tables at least this long are range-checked through numpy when available.
-_NUMPY_VALIDATE_THRESHOLD = 1 << 16
-
 
 def _as_word(symbols: Iterable[str] | str) -> tuple[str, ...]:
     """Normalize a word given as a string or iterable of symbol tokens."""
     return tuple(symbols)
+
+
+def _is_ndarray(values) -> bool:
+    cls = type(values)
+    return cls.__module__ == "numpy" and cls.__name__ == "ndarray"
 
 
 def _as_delta(values) -> array:
@@ -34,8 +36,7 @@ def _as_delta(values) -> array:
     must have an integer dtype; floats and bools are rejected, not cast."""
     if isinstance(values, array) and values.typecode == "q":
         return values
-    cls = type(values)
-    if cls.__module__ == "numpy" and cls.__name__ == "ndarray":
+    if _is_ndarray(values):
         if values.dtype.kind not in "iu":
             raise ValueError(
                 f"transition table must hold integers, got dtype {values.dtype}"
@@ -46,15 +47,14 @@ def _as_delta(values) -> array:
     return array("q", values)
 
 
-def _delta_bounds(delta: array) -> tuple[int, int]:
-    if len(delta) >= _NUMPY_VALIDATE_THRESHOLD:
-        try:
-            import numpy as np
+def _delta_bounds(delta: array, from_numpy: bool) -> tuple[int, int]:
+    """Smallest and largest target.  Only a table that came in as a numpy
+    array is scanned through numpy, which is then already imported."""
+    if from_numpy:
+        import numpy as np
 
-            view = np.frombuffer(delta, dtype=np.int64)
-            return int(view.min()), int(view.max())
-        except ImportError:
-            pass
+        view = np.frombuffer(delta, dtype=np.int64)
+        return int(view.min()), int(view.max())
     return min(delta), max(delta)
 
 
@@ -77,6 +77,7 @@ class DetAutomaton:
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
+        from_numpy = _is_ndarray(self.delta)
         object.__setattr__(self, "delta", _as_delta(self.delta))
         if len(self.alphabet) < 1:
             raise ValueError("alphabet must contain at least one symbol")
@@ -94,7 +95,7 @@ class DetAutomaton:
                 f"transition table has {len(self.delta)} entries, "
                 f"expected {self.n_states * len(self.alphabet)}"
             )
-        lo, hi = _delta_bounds(self.delta)
+        lo, hi = _delta_bounds(self.delta, from_numpy)
         if lo < 0 or hi >= self.n_states:
             raise BadStateIndex("transition target out of range")
 

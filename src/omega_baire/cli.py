@@ -32,7 +32,7 @@ from .fileformat import (
     format_lasso,
     parse_automaton,
     parse_lasso_text,
-    serialize_automaton,
+    serialize_chunks,
 )
 from .loops import analyze, enumerate_loops, is_loop
 from .oracle import (
@@ -42,7 +42,7 @@ from .oracle import (
     random_instance,
     verify_baire_witness,
 )
-from .to_buchi import check_maximal_loops, muller_to_buchi_maximal
+from .to_buchi import muller_to_buchi_maximal
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -53,7 +53,8 @@ EXIT_ALPHABET = 5
 
 
 def _load(path: str) -> tuple[DetAutomaton, MullerTable | BuchiSet]:
-    return parse_automaton(Path(path).read_bytes())
+    # Decoded here, so that the raw bytes are freed before the text is split.
+    return parse_automaton(Path(path).read_bytes().decode("utf-8"))
 
 
 def _load_muller(path: str) -> tuple[DetAutomaton, MullerTable]:
@@ -64,7 +65,9 @@ def _load_muller(path: str) -> tuple[DetAutomaton, MullerTable]:
 
 
 def _write(path: str, a: DetAutomaton, acc, origins=None) -> None:
-    Path(path).write_text(serialize_automaton(a, acc, origins), encoding="utf-8")
+    chunks = serialize_chunks(a, acc, origins)
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(chunks)
 
 
 def _fmt_set(z) -> str:
@@ -168,14 +171,10 @@ def cmd_baire(args) -> int:
 
 def cmd_to_buchi(args) -> int:
     a, t = _load_muller(args.file)
-    analysis = analyze(a)
-    report = check_maximal_loops(a, t, analysis)
-    if not report.ok:
-        print(report.describe(), file=sys.stderr)
-        return EXIT_PRECONDITION
-    if report.non_loops:
-        print(report.describe(), file=sys.stderr)
-    translation = muller_to_buchi_maximal(a, t, analysis, prune=not args.no_prune)
+    # A non-maximal loop entry raises PreconditionViolated (exit 4).
+    translation = muller_to_buchi_maximal(a, t, prune=not args.no_prune)
+    if translation.report.non_loops:
+        print(translation.report.describe(), file=sys.stderr)
     _write(args.out, translation.automaton, translation.accepting, translation.origin)
     print(
         f"buchi automaton: {translation.automaton.n_states} states "

@@ -13,7 +13,7 @@ loops at all cannot change the language and are dropped with a diagnostic.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Iterator, Literal
@@ -119,6 +119,25 @@ class LayeredOrigins(Mapping):
     def __len__(self) -> int:
         return len(self._kept)
 
+    def runs(self) -> Iterator[tuple[int, Sequence[int], int]]:
+        """All origins in output-state order, in bulk: a run `(first,
+        bases, layer)` says that output state `first + i` comes from
+        `(bases[i], layer)`.  Each run lies in one row of one layer."""
+        kept, n = self._kept, self._n
+        lo = bisect_left(kept, n)
+        if lo:
+            yield 0, kept[:lo], 0
+        for off, members in zip(self._offsets, self._orderings):
+            k = len(members)
+            for layer in range(1, k + 1):
+                row = off + (layer - 1) * k
+                hi = bisect_left(kept, row + k, lo)
+                if hi - lo == k:
+                    yield lo, members, layer
+                elif hi > lo:
+                    yield lo, [members[idx - row] for idx in kept[lo:hi]], layer
+                lo = hi
+
     def __iter__(self) -> Iterator[int]:
         return iter(range(len(self._kept)))
 
@@ -129,7 +148,8 @@ class BuchiTranslation:
 
     `origin` maps each state of the output automaton to its (base state,
     layer) pair in the layered construction; `unpruned_state_count` is the
-    exact state count before unreachable layers are removed.
+    exact state count before unreachable layers are removed.  `report` is
+    the precondition check the translation ran, with the dropped entries.
     """
 
     automaton: DetAutomaton
@@ -137,6 +157,7 @@ class BuchiTranslation:
     origin: Mapping[int, tuple[int, int]] = field(compare=False, hash=False)
     unpruned_state_count: int = 0
     blocks: tuple[frozenset[int], ...] = ()
+    report: MaximalLoopReport | None = field(default=None, compare=False, hash=False)
 
 
 def _layered_delta_python(
@@ -227,18 +248,22 @@ def _prune_python(flat: list[int], r: int, total: int, initial: int):
 
 
 def _prune_numpy(flat2d, initial: int):
-    """Reachability over the layered table, frontier-vectorized."""
+    """Reachability over the layered table, frontier-vectorized.  A level
+    keeps one copy of each state: the position whose stamp survives."""
     import numpy as np
 
     total, r = flat2d.shape
     visited = np.zeros(total, dtype=bool)
     visited[initial] = True
+    stamp = np.empty(total, dtype=np.int64)
     frontier = np.array([initial], dtype=np.int64)
     while frontier.size:
         nxt = flat2d[frontier].ravel()
         nxt = nxt[~visited[nxt]]
         if nxt.size > 1:
-            nxt = np.unique(nxt)
+            positions = np.arange(nxt.size)
+            stamp[nxt] = positions
+            nxt = nxt[stamp[nxt] == positions]
         visited[nxt] = True
         frontier = nxt
     kept_np = np.flatnonzero(visited)
@@ -357,4 +382,5 @@ def muller_to_buchi_maximal(
         origin=LayeredOrigins(kept, n, orderings, offsets),
         unpruned_state_count=total,
         blocks=report.blocks,
+        report=report,
     )

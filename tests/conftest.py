@@ -7,11 +7,19 @@ with the implementations they check.
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
+from hypothesis import settings
 
 from omega_baire import DetAutomaton, LassoWord, MullerTable
+
+# `HYPOTHESIS_PROFILE=ci` makes every property test draw the same examples
+# on every run, so that a failure seen in CI reproduces exactly.
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("HYPOTHESIS_PROFILE"):
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
 def make_ex1() -> DetAutomaton:

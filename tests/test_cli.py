@@ -1,6 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from omega_baire import BuchiSet, MullerTable, parse_automaton
+import omega_baire
+from omega_baire import (
+    BuchiSet,
+    DetAutomaton,
+    MullerTable,
+    parse_automaton,
+    serialize_automaton,
+)
 from omega_baire.cli import run as cli_run
 
 EX1_TEXT = """\
@@ -207,6 +219,15 @@ class TestToBuchi:
             == 4
         )
 
+    def test_dropped_entries_reported_on_stderr(self, tmp_path, capsys):
+        src = tmp_path / "d.aut"
+        src.write_text(EX2_TEXT.replace("accept {1}", "accept {1} {0}"))
+        out = tmp_path / "b.aut"
+        assert cli_run(["to-buchi", str(src), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "dropped non-loop entries: {0}\n"
+        assert captured.out.startswith("buchi automaton: ")
+
     def test_empty_table_copy(self, tmp_path, capsys):
         src = tmp_path / "e.aut"
         src.write_text(EX1_TEXT.replace("accept {0}\n", ""))
@@ -285,6 +306,37 @@ class TestSelftest:
         code = cli_run(["selftest", "--states", "600", "--trials", "2", "--seed", "5"])
         assert code == 0
         assert "failures=0" in capsys.readouterr().out
+
+
+def test_check_member_does_not_import_numpy(tmp_path):
+    """Reading a file and checking a lasso needs no numpy, even for a table
+    of 2^16 cells."""
+    n = 1 << 15
+    a = DetAutomaton(
+        alphabet=("a", "b"),
+        n_states=n,
+        initial=0,
+        delta=[t for s in range(n) for t in ((s + 1) % n, 0)],
+    )
+    path = tmp_path / "big.aut"
+    path.write_text(serialize_automaton(a, BuchiSet.of(1)))
+    script = (
+        "import sys\n"
+        "from omega_baire.cli import run\n"
+        "codes = [run(['check', 'member', sys.argv[1], '--word', w]) for w in (':a', 'a:b')]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    package_root = str(Path(omega_baire.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert done.stdout == "true\nfalse\n[0, 0] False\n"
 
 
 class TestRoundTripOfWrittenFiles:

@@ -10,16 +10,23 @@ from omega_baire import (
     BuchiSet,
     DetAutomaton,
     DuplicateTransition,
+    FormatError,
     LassoWord,
     MissingTransition,
     MullerTable,
     UnknownSymbol,
+    build_meagre_complement,
+    build_open_witness,
     format_lasso,
     format_word,
+    muller_to_buchi_maximal,
     parse_automaton,
     parse_lasso_text,
     serialize_automaton,
 )
+from omega_baire import fileformat
+from omega_baire.fileformat import _CHUNK_STATES, _parse_general, serialize_chunks
+from omega_baire.to_buchi import LayeredOrigins
 from conftest import random_automaton
 
 EX1_TEXT = """\
@@ -232,3 +239,253 @@ class TestLassoText:
     def test_format_word_modes(self):
         assert format_word(("a", "b"), ("a", "b")) == "ab"
         assert format_word(("foo",), ("foo", "bar")) == "foo"
+
+
+# ---------------------------------------------------------------------------
+# The bulk reader of canonical files against the line parser
+
+
+def _outcome(parse, text):
+    """The parsed pair, or the error's class, line and message."""
+    try:
+        return parse(text)
+    except FormatError as e:
+        return type(e), e.line, str(e)
+
+
+def _random_acceptance(rng: random.Random, n: int, kind: str):
+    if kind == "buchi":
+        return BuchiSet(frozenset(rng.sample(range(n), min(n, rng.randint(0, 3)))))
+    return MullerTable(
+        frozenset(
+            frozenset(rng.sample(range(n), min(n, rng.randint(0, 3))))
+            for _ in range(rng.randint(0, 3))
+        )
+    )
+
+
+@st.composite
+def canonical_files(draw):
+    """Canonical text of a random automaton: a few states, or more than one
+    chunk of the bulk reader."""
+    n = draw(st.integers(1, 12) | st.integers(_CHUNK_STATES + 1, _CHUNK_STATES + 40))
+    r = draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    a = random_automaton(rng, n, r)
+    acc = _random_acceptance(rng, n, draw(st.sampled_from(["muller", "buchi"])))
+    return a, acc, serialize_automaton(a, acc)
+
+
+_EDITS = (
+    "flip", "swap", "duplicate", "delete", "plus", "zero", "unicode-digit",
+    "tab", "crlf", "comment", "trans-after-block", "block-twice", "out-of-range",
+)
+
+
+def _edit(text: str, a: DetAutomaton, kind: str, k: int, bit: int) -> str:
+    """Apply one edit to the k-th `trans` line, counted from the end of the
+    block when k is negative; `bit` picks among variants of the edit."""
+    lines = text.split("\n")
+    first = 4  # the header takes four lines
+    block = a.n_states * len(a.alphabet)
+    i = first + k % block
+    head, _, target = lines[i].rpartition(" ")
+    if kind == "flip":
+        pos = (k + 5 * bit) % len(lines[i])
+        flipped = chr(ord(lines[i][pos]) ^ (1 << bit))
+        lines[i] = lines[i][:pos] + flipped + lines[i][pos + 1 :]
+    elif kind == "swap":
+        j = first + (k + 1 + bit) % block
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "delete":
+        del lines[i]
+    elif kind == "plus":
+        lines[i] = f"{head} +{target}"
+    elif kind == "zero":
+        lines[i] = f"{head} 0{target}"
+    elif kind == "unicode-digit":
+        lines[i] = f"{head} " + "".join(chr(0x660 + int(c)) for c in target)
+    elif kind == "tab":
+        lines[i] = lines[i].replace(" ", "\t", 1 + bit % 3)
+    elif kind == "crlf":
+        lines[i] += "\r"
+    elif kind == "comment":
+        lines[i] += " # note"
+    elif kind == "trans-after-block":
+        lines.insert(first + block + bit % 2, lines[i] if bit % 3 else "trans 0 zz 0")
+    elif kind == "block-twice":
+        lines[first + block : first + block] = lines[first : first + block]
+    else:
+        lines[i] = f"{head} {a.n_states + bit % 2 if bit % 3 else -1}"
+    return "\n".join(lines)
+
+
+@given(
+    canonical_files(),
+    st.sampled_from(_EDITS),
+    st.integers(0, 10**6) | st.integers(-3, -1),
+    st.integers(0, 6),
+)
+@settings(max_examples=120, deadline=None)
+def test_fast_and_general_parsers_agree(case, kind, k, bit):
+    a, acc, text = case
+    edited = _edit(text, a, kind, k, bit)
+    assert _outcome(parse_automaton, edited) == _outcome(_parse_general, edited)
+
+
+@given(canonical_files())
+@settings(max_examples=30, deadline=None)
+def test_canonical_files_take_the_bulk_reader(case):
+    a, acc, text = case
+    calls = []
+    real = fileformat._parse_lines
+
+    def spy(lines, fast):
+        calls.append(fast)
+        return real(lines, fast)
+
+    fileformat._parse_lines = spy
+    try:
+        assert parse_automaton(text) == (a, acc)
+    finally:
+        fileformat._parse_lines = real
+    assert calls == [True]
+
+
+def test_mismatch_after_first_chunk_falls_back_once():
+    rng = random.Random(4)
+    n = 2 * _CHUNK_STATES + 5
+    a = random_automaton(rng, n, 2)
+    text = serialize_automaton(a, BuchiSet.of(0))
+    last = f"trans {n - 1} b {a.delta[-1]}\n"
+    edited = text.replace(last, f"trans {n - 1} b  {a.delta[-1]}\n")
+    assert edited != text
+    renders = []
+    real_render = fileformat._TransRenderer.__call__
+
+    def counted(self, first, stop, targets):
+        renders.append(first)
+        return real_render(self, first, stop, targets)
+
+    fileformat._TransRenderer.__call__ = counted
+    try:
+        assert parse_automaton(edited) == (a, BuchiSet.of(0))
+    finally:
+        fileformat._TransRenderer.__call__ = real_render
+    assert renders == [0, _CHUNK_STATES, 2 * _CHUNK_STATES]
+
+
+_LINE_PIECES = st.sampled_from(
+    [
+        "alphabet a b", "alphabet a", "alphabet a{ b", "alphabet x:y", "states 2",
+        "states 0", "states 99999999999", "initial 0", "initial 7", "acc-type muller",
+        "acc-type buchi", "trans 0 a 1", "trans 1 b 0", "trans 0 a 0", "trans 1 a 1",
+        "trans 0 b 1", "trans 1 b 1", "trans 0 c 0", "trans 2 a 0", "accept {0}",
+        "accept {0,1} {}", "accept {1", "accept 0 1", "accept {,}", "# note", "",
+        "trans 0 a ١", "states +2",
+    ]
+)
+
+
+@given(st.lists(_LINE_PIECES | st.text(max_size=12), max_size=14), st.sampled_from(["\n", "\r\n", "\r"]))
+@settings(max_examples=300, deadline=None)
+def test_arbitrary_text_raises_only_format_errors(pieces, newline):
+    text = newline.join(pieces)
+    assert _outcome(parse_automaton, text) == _outcome(_parse_general, text)
+
+
+def test_reserved_symbol_token_is_a_header_error():
+    with pytest.raises(BadHeader) as exc:
+        parse_automaton(EX1_TEXT.replace("alphabet a b", "alphabet a b{"))
+    assert exc.value.line == 1
+
+
+def _lines(text: str) -> list[str]:
+    """Lines with their ends, so that a failed comparison of long texts
+    reports the first differing line instead of diffing the whole text."""
+    return text.splitlines(keepends=True)
+
+
+def _reference_lines(a: DetAutomaton, acc, origins=None) -> list[str]:
+    """Canonical text written out line by line."""
+    r = len(a.alphabet)
+    lines = [
+        f"alphabet {' '.join(a.alphabet)}",
+        f"states {a.n_states}",
+        f"initial {a.initial}",
+        f"acc-type {'muller' if isinstance(acc, MullerTable) else 'buchi'}",
+    ]
+    lines += [
+        f"trans {s} {tok} {a.delta[s * r + x]}"
+        for s in range(a.n_states)
+        for x, tok in enumerate(a.alphabet)
+    ]
+    if isinstance(acc, MullerTable):
+        lines += ["accept {" + ",".join(map(str, e)) + "}" for e in sorted(tuple(sorted(e)) for e in acc.entries)]
+    else:
+        lines.append(("accept " + " ".join(map(str, sorted(acc.accepting)))).rstrip())
+    for idx in sorted(origins or {}):
+        value = origins[idx]
+        if isinstance(value, tuple):
+            text = f"layered ({value[0]}, {value[1]})"
+        elif isinstance(value, frozenset):
+            text = f"merged scc {min(value)}" if value else "merged scc {}"
+        else:
+            text = f"from state {value}"
+        lines.append(f"# state {idx}: {text}")
+    return [line + "\n" for line in lines]
+
+
+def test_chunked_text_matches_line_by_line_text():
+    rng = random.Random(12)
+    n = 2 * _CHUNK_STATES + 3
+    a = DetAutomaton(("%d", "x%%"), n, 5, [rng.randrange(n) for _ in range(2 * n)])
+    for acc in (MullerTable(frozenset()), MullerTable.of({1, 0}, {2}), BuchiSet(frozenset()), BuchiSet.of(3, 1)):
+        text = serialize_automaton(a, acc)
+        assert _lines(text) == _reference_lines(a, acc)
+        assert "".join(serialize_chunks(a, acc)) == text
+        assert parse_automaton(text) == _parse_general(text) == (a, acc)
+
+
+def _translations(rng: random.Random, n: int):
+    """A translation of a random automaton's terminal-SCC table, with every
+    kernel and with and without pruning."""
+    a, t = build_meagre_complement(random_automaton(rng, n, rng.randint(1, 3)))
+    for prune in (True, False):
+        for vectorized in (False, True):
+            yield muller_to_buchi_maximal(a, t, prune=prune, vectorized=vectorized)
+
+
+@given(st.integers(1, 40), st.integers(0, 10**9))
+@settings(max_examples=40, deadline=None)
+def test_round_trip_with_layered_origins(n, seed):
+    for tr in _translations(random.Random(seed), n):
+        assert isinstance(tr.origin, LayeredOrigins)
+        text = serialize_automaton(tr.automaton, tr.accepting, tr.origin)
+        assert _lines(text) == _reference_lines(tr.automaton, tr.accepting, dict(tr.origin))
+        assert parse_automaton(text) == (tr.automaton, tr.accepting)
+        assert _lines(serialize_automaton(*parse_automaton(text), tr.origin)) == _lines(text)
+
+
+@given(st.integers(1, 10), st.integers(0, 10**9))
+@settings(max_examples=40, deadline=None)
+def test_round_trip_with_dict_origins(n, seed):
+    rng = random.Random(seed)
+    a = random_automaton(rng, n, rng.randint(1, 3))
+    t = _random_acceptance(rng, n, "muller")
+    w = build_open_witness(a, t)
+    text = serialize_automaton(w.automaton, w.table, w.origin)
+    assert _lines(text) == _reference_lines(w.automaton, w.table, w.origin)
+    assert parse_automaton(text) == (w.automaton, w.table)
+    assert _lines(serialize_automaton(*parse_automaton(text), w.origin)) == _lines(text)
+
+
+def test_empty_muller_table_round_trip():
+    a = random_automaton(random.Random(2), 3 * _CHUNK_STATES, 2)
+    empty = MullerTable(frozenset())
+    text = serialize_automaton(a, empty, {0: 0})
+    assert text.endswith(f"trans {a.n_states - 1} b {a.delta[-1]}\n# state 0: from state 0\n")
+    assert parse_automaton(text) == (a, empty)
+    assert _lines(serialize_automaton(*parse_automaton(text), {0: 0})) == _lines(text)

@@ -6,8 +6,8 @@ sha256 of stdout, the exit code and the sha256 of every file written.  The
 inputs are pinned too, so a changed input generator is told apart from a
 changed construction.
 
-The work-count tests check that one run decomposes the input into SCCs once
-and builds the open witness once.
+The work-count tests check that one run decomposes the input into SCCs once,
+builds the open witness once and checks the maximal-loop precondition once.
 """
 
 from __future__ import annotations
@@ -266,10 +266,12 @@ def _count_calls(monkeypatch, module, name: str) -> list[int]:
 def counters(monkeypatch):
     import omega_baire.baire as baire_mod
     import omega_baire.loops as loops_mod
+    import omega_baire.to_buchi as to_buchi_mod
 
     return (
         _count_calls(monkeypatch, loops_mod, "scc_decompose"),
         _count_calls(monkeypatch, baire_mod, "build_open_witness"),
+        _count_calls(monkeypatch, to_buchi_mod, "check_maximal_loops"),
     )
 
 
@@ -286,14 +288,25 @@ def test_cli_run_decomposes_once(argv, open_builds, tmp_path, monkeypatch, capsy
     monkeypatch.chdir(tmp_path)
     for name, data in _inputs().items():
         (tmp_path / name).write_bytes(data)
-    decompositions, witnesses = counters
-    decompositions[0] = witnesses[0] = 0
+    decompositions, witnesses, checks = counters
+    decompositions[0] = witnesses[0] = checks[0] = 0
     assert cli_run(argv) == 0
-    assert (decompositions[0], witnesses[0]) == (1, open_builds)
+    assert (decompositions[0], witnesses[0], checks[0]) == (1, open_builds, 1)
+
+
+@pytest.mark.parametrize("stem", ["ex1", "small"])
+def test_refused_to_buchi_checks_precondition_once(stem, tmp_path, monkeypatch, capsys, counters):
+    monkeypatch.chdir(tmp_path)
+    for name, data in _inputs().items():
+        (tmp_path / name).write_bytes(data)
+    _, _, checks = counters
+    checks[0] = 0
+    assert cli_run(["to-buchi", f"{stem}.aut", "--out", "b"]) == 4  # non-maximal entry
+    assert checks[0] == 1
 
 
 def test_pipeline_builds_open_witness_once(counters):
-    decompositions, witnesses = counters
+    decompositions, witnesses, _ = counters
     a, t = _random_pair(8, 3)
     decompositions[0] = 0
     build_baire_witness(a, t)
