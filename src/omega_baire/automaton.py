@@ -20,11 +20,6 @@ from .errors import BadStateIndex, UnknownSymbol
 Word = Sequence[str]
 
 
-def _as_word(symbols: Iterable[str] | str) -> tuple[str, ...]:
-    """Normalize a word given as a string or iterable of symbol tokens."""
-    return tuple(symbols)
-
-
 def _is_ndarray(values) -> bool:
     cls = type(values)
     return cls.__module__ == "numpy" and cls.__name__ == "ndarray"
@@ -106,25 +101,6 @@ class DetAutomaton:
     def symbol_index(self) -> dict[str, int]:
         return {tok: i for i, tok in enumerate(self.alphabet)}
 
-    @property
-    def states(self) -> range:
-        return range(self.n_states)
-
-    @classmethod
-    def from_table(
-        cls, alphabet: Sequence[str], transitions: dict[tuple[int, str], int], initial: int = 0
-    ) -> "DetAutomaton":
-        """Build from a {(state, symbol): target} dict covering all pairs."""
-        n = max(s for s, _ in transitions) + 1
-        alphabet = tuple(alphabet)
-        flat = []
-        for s in range(n):
-            for tok in alphabet:
-                if (s, tok) not in transitions:
-                    raise ValueError(f"missing transition for ({s}, {tok!r})")
-                flat.append(transitions[s, tok])
-        return cls(alphabet=alphabet, n_states=n, initial=initial, delta=tuple(flat))
-
 
 @dataclass(frozen=True)
 class MullerTable:
@@ -192,8 +168,8 @@ class LassoWord:
     period: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "prefix", _as_word(self.prefix))
-        object.__setattr__(self, "period", _as_word(self.period))
+        object.__setattr__(self, "prefix", tuple(self.prefix))
+        object.__setattr__(self, "period", tuple(self.period))
         if not self.period:
             raise ValueError("lasso period must be nonempty")
 
@@ -202,10 +178,6 @@ class LassoWord:
         if position < len(self.prefix):
             return self.prefix[position]
         return self.period[(position - len(self.prefix)) % len(self.period)]
-
-    def head(self, length: int) -> tuple[str, ...]:
-        """First `length` symbols of the unrolled word."""
-        return tuple(self.symbol_at(i) for i in range(length))
 
 
 def step(a: DetAutomaton, state: int, symbol: str) -> int:

@@ -29,6 +29,9 @@ StateOrigin = Mapping[int, "int | frozenset[int]"]
 
 
 class TriState(enum.Enum):
+    """Classifier verdict; UNDECIDED means the implemented criteria do not
+    settle the query."""
+
     YES = "yes"
     NO = "no"
     UNDECIDED = "not-decided"
@@ -37,17 +40,6 @@ class TriState(enum.Enum):
 class LoopDensity(enum.Enum):
     DENSE = "dense"
     NOWHERE_DENSE = "nowhere-dense"
-
-
-@dataclass(frozen=True)
-class TopoClass:
-    """Classifier verdicts; UNDECIDED means the implemented criteria do not
-    settle the query."""
-
-    open_flag: TriState = TriState.UNDECIDED
-    meagre_flag: TriState = TriState.UNDECIDED
-    dense_flag: TriState = TriState.UNDECIDED
-    nowhere_dense_flag: TriState = TriState.UNDECIDED
 
 
 @dataclass(frozen=True)
@@ -223,7 +215,7 @@ def build_baire_witness(
 
 def classify_meagre(
     a: DetAutomaton, t: MullerTable, analysis: SccAnalysis | None = None
-) -> TopoClass:
+) -> TriState:
     """Meagre iff no table entry is a reachable terminal SCC.
 
     A terminal SCC entry is a loop exactly when it is reachable, so the
@@ -233,8 +225,8 @@ def classify_meagre(
         analysis = analyze(a)
     for entry in t.entries:
         if analysis.is_terminal_set(entry) and not entry.isdisjoint(analysis.reachable):
-            return TopoClass(meagre_flag=TriState.NO)
-    return TopoClass(meagre_flag=TriState.YES)
+            return TriState.NO
+    return TriState.YES
 
 
 def classify_openness(
@@ -243,7 +235,7 @@ def classify_openness(
     analysis: SccAnalysis | None = None,
     *,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> TopoClass:
+) -> TriState:
     """Open = YES when the loop entries are exactly all loops inside some set
     of terminal SCCs (the shape of languages `reach this terminal SCC`);
     otherwise UNDECIDED.  Deciding openness beyond this shape is out of
@@ -252,15 +244,15 @@ def classify_openness(
         analysis = analyze(a)
     loop_entries = {e for e in t.entries if is_loop(a, e, analysis)}
     if not loop_entries:
-        return TopoClass(open_flag=TriState.YES)
+        return TriState.YES
 
     required: set[int] = set()
     for entry in loop_entries:
         tid = analysis.scc_of[min(entry)]
         if not entry <= analysis.sccs[tid]:
-            return TopoClass(open_flag=TriState.UNDECIDED)
+            return TriState.UNDECIDED
         if tid not in analysis.terminal:
-            return TopoClass(open_flag=TriState.UNDECIDED)
+            return TriState.UNDECIDED
         required.add(tid)
 
     cost = sum(1 << len(analysis.sccs[tid]) for tid in required)
@@ -269,10 +261,10 @@ def classify_openness(
             f"openness check needs {cost} subset checks, budget is {budget}"
         )
     for tid in required:
-        for z in _iter_scc_loops(a, analysis.sccs[tid], None):
+        for z in _iter_scc_loops(a, analysis.sccs[tid]):
             if z not in loop_entries:
-                return TopoClass(open_flag=TriState.UNDECIDED)
-    return TopoClass(open_flag=TriState.YES)
+                return TriState.UNDECIDED
+    return TriState.YES
 
 
 def classify_loop_density(

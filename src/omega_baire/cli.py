@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Verdicts and reports go to standard output, diagnostics to standard error.
-Exit codes are a stable contract: 0 success or verdict, 2 parse error,
-3 budget exceeded, 4 precondition violated, 5 alphabet mismatch.
+Exit codes are a stable contract: 0 success or verdict, 1 selftest
+failures, 2 parse error, 3 budget exceeded, 4 precondition violated,
+5 alphabet mismatch, 6 internal error (a self-check of the program failed).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_PRECONDITION = 4
 EXIT_ALPHABET = 5
+EXIT_INTERNAL = 6
 
 
 def _load(path: str) -> tuple[DetAutomaton, MullerTable | BuchiSet]:
@@ -132,7 +134,7 @@ def cmd_baire(args) -> int:
     _write(args.out_open, a1, t1, origin)
     _write(args.out_meagre_complement, a2, t2)
 
-    nonempty = classify_meagre(a, t, analysis).meagre_flag is TriState.NO
+    nonempty = classify_meagre(a, t, analysis) is TriState.NO
     print(f"input: {a.n_states} states, {len(t.entries)} table entries")
     print(
         f"open witness: {a1.n_states} states, "
@@ -338,6 +340,9 @@ def run(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(str(e), file=sys.stderr)
         return EXIT_PARSE
+    except RuntimeError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Container, Iterable, Iterator, Sequence
 
-from .automaton import DetAutomaton, LassoWord, MullerTable, inf_from_state, inf_set
+from .automaton import DetAutomaton, LassoWord, MullerTable, inf_set
 from .errors import BadLoop, BadStateIndex, SizeGuard
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 20
@@ -251,23 +251,18 @@ def is_loop(
     return _induced_strongly_connected(a, zs)
 
 
-def _iter_scc_loops(
-    a: DetAutomaton, scc: frozenset[int], max_size: int | None
-) -> Iterator[frozenset[int]]:
+def _iter_scc_loops(a: DetAutomaton, scc: frozenset[int]) -> Iterator[frozenset[int]]:
     """Loops inside one reachable SCC, in ascending bitmask order."""
     members = sorted(scc)
     k = len(members)
     for mask in range(1, 1 << k):
         subset = frozenset(members[i] for i in range(k) if mask >> i & 1)
-        if max_size is not None and len(subset) > max_size:
-            continue
         if _induced_strongly_connected(a, subset):
             yield subset
 
 
 def iter_loops(
     a: DetAutomaton,
-    max_size: int | None = None,
     *,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     analysis: SccAnalysis | None = None,
@@ -284,18 +279,17 @@ def iter_loops(
             f"loop enumeration needs {cost} subset checks, budget is {budget}"
         )
     for scc in candidates:
-        yield from _iter_scc_loops(a, scc, max_size)
+        yield from _iter_scc_loops(a, scc)
 
 
 def enumerate_loops(
     a: DetAutomaton,
-    max_size: int | None = None,
     *,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     analysis: SccAnalysis | None = None,
 ) -> list[frozenset[int]]:
     """All loops, sorted canonically (ascending state-set bitmask)."""
-    loops = list(iter_loops(a, max_size, budget=budget, analysis=analysis))
+    loops = list(iter_loops(a, budget=budget, analysis=analysis))
     loops.sort(key=lambda z: sum(1 << s for s in z))
     return loops
 
@@ -389,21 +383,3 @@ def decompose_lasso(
     p = last_bad + 1
     return LassoDecomposition(state=states[p], loop=z, prefix_len=p)
 
-
-def lassos_cover_loops(a: DetAutomaton, bound: int) -> set[frozenset[int]]:
-    """Inf sets of all lassos with |prefix|, |period| <= bound.
-
-    Membership of a lasso depends on the prefix only through the state it
-    reaches, so prefixes are collapsed to the states reachable within
-    `bound` steps.
-    """
-    r = len(a.alphabet)
-    starts = sorted(bfs_parents(a.delta, r, a.initial, depth=bound))
-    seen: set[frozenset[int]] = set()
-    periods: list[tuple[int, ...]] = [()]
-    for _ in range(bound):
-        periods = [v + (x,) for v in periods for x in range(r)]
-        for v in periods:
-            for s in starts:
-                seen.add(inf_from_state(a, s, v))
-    return seen

@@ -16,14 +16,14 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterator, Literal
+from typing import Iterator
 
 from .automaton import BuchiSet, DetAutomaton, MullerTable
 from .errors import PreconditionViolated
 from .loops import SccAnalysis, analyze, bfs_parents, is_loop
 
-# Above this many (state, symbol) table cells the construction switches to
-# the vectorized path.
+# From this many (state, symbol) cells of the unpruned output on, the
+# construction uses the numpy kernel; below it, the pure-Python one.
 VECTORIZE_THRESHOLD = 1 << 16
 
 
@@ -149,15 +149,15 @@ class BuchiTranslation:
     `origin` maps each state of the output automaton to its (base state,
     layer) pair in the layered construction; `unpruned_state_count` is the
     exact state count before unreachable layers are removed.  `report` is
-    the precondition check the translation ran, with the dropped entries.
+    the precondition check the translation ran: its blocks and the dropped
+    entries.
     """
 
     automaton: DetAutomaton
     accepting: BuchiSet
     origin: Mapping[int, tuple[int, int]] = field(compare=False, hash=False)
-    unpruned_state_count: int = 0
-    blocks: tuple[frozenset[int], ...] = ()
-    report: MaximalLoopReport | None = field(default=None, compare=False, hash=False)
+    unpruned_state_count: int
+    report: MaximalLoopReport = field(compare=False, hash=False)
 
 
 def _layered_delta_python(
@@ -281,8 +281,6 @@ def muller_to_buchi_maximal(
     analysis: SccAnalysis | None = None,
     *,
     prune: bool = True,
-    block_order: Literal["ascending", "descending"] = "ascending",
-    vectorized: bool | None = None,
 ) -> BuchiTranslation:
     """Translate a maximal-loop Muller automaton into an equivalent
     deterministic Buchi automaton.
@@ -293,8 +291,9 @@ def muller_to_buchi_maximal(
     order advances the layer, leaving the block or completing the top layer
     resets to layer 0, everything else keeps the layer.  Accepting states are
     the top-layer corners, which recur iff the run sweeps a whole block
-    forever.  The block order is ascending state index by default; the
-    accepted language does not depend on it.
+    forever.  Each block is swept in ascending state order.  The kernel is
+    pure Python below `VECTORIZE_THRESHOLD` output cells and numpy from
+    there on; both build the same automaton.
     """
     if analysis is None:
         analysis = analyze(a)
@@ -304,9 +303,7 @@ def muller_to_buchi_maximal(
 
     n = a.n_states
     r = len(a.alphabet)
-    orderings = [
-        sorted(block, reverse=(block_order == "descending")) for block in report.blocks
-    ]
+    orderings = [sorted(block) for block in report.blocks]
     offsets: list[int] = []
     total = n
     for members in orderings:
@@ -322,15 +319,6 @@ def muller_to_buchi_maximal(
             rank0[z] = p
         first_of[members[0]] = offsets[bi]
 
-    use_numpy = vectorized
-    if use_numpy is None:
-        use_numpy = total * r >= VECTORIZE_THRESHOLD
-    if use_numpy:
-        try:
-            import numpy  # noqa: F401
-        except ImportError:
-            use_numpy = False
-
     accepting_unpruned = [
         offsets[bi] + (len(m) - 1) * len(m) + (len(m) - 1)
         for bi, m in enumerate(orderings)
@@ -338,7 +326,7 @@ def muller_to_buchi_maximal(
 
     flat_table: object
     kept: Sequence[int]
-    if use_numpy:
+    if total * r >= VECTORIZE_THRESHOLD:
         flat2d = _layered_delta_numpy(
             a, orderings, offsets, block_of, rank0, first_of, total
         )
@@ -381,6 +369,5 @@ def muller_to_buchi_maximal(
         accepting=BuchiSet(accept_new),
         origin=LayeredOrigins(kept, n, orderings, offsets),
         unpruned_state_count=total,
-        blocks=report.blocks,
         report=report,
     )

@@ -86,11 +86,15 @@ def brute_inf_set(a: DetAutomaton, w: LassoWord) -> frozenset[int]:
     s = a.initial
     for tok in w.prefix:
         s = a.delta[s * len(a.alphabet) + a.symbol_index[tok]]
+    return _brute_inf_from(a, s, w.period)
+
+
+def _brute_inf_from(a: DetAutomaton, s: int, period) -> frozenset[int]:
     anchors = [s]
     traces = []
     for _ in range(a.n_states + 1):
         trace = []
-        for tok in w.period:
+        for tok in period:
             s = a.delta[s * len(a.alphabet) + a.symbol_index[tok]]
             trace.append(s)
         traces.append(trace)
@@ -103,6 +107,28 @@ def brute_inf_set(a: DetAutomaton, w: LassoWord) -> frozenset[int]:
                     states.update(traces[k])
                 return frozenset(states)
     raise AssertionError("anchor state never repeated")
+
+
+def lassos_cover_loops(a: DetAutomaton, bound: int) -> set[frozenset[int]]:
+    """Inf sets of all lassos with |prefix|, |period| <= bound.
+
+    Membership of a lasso depends on the prefix only through the state it
+    reaches, so prefixes are collapsed to the states reachable within
+    `bound` steps.
+    """
+    r = len(a.alphabet)
+    starts = layer = {a.initial}
+    for _ in range(bound):
+        layer = {a.delta[s * r + x] for s in layer for x in range(r)}
+        starts = starts | layer
+    seen: set[frozenset[int]] = set()
+    periods: list[tuple[str, ...]] = [()]
+    for _ in range(bound):
+        periods = [v + (tok,) for v in periods for tok in a.alphabet]
+        for v in periods:
+            for s in starts:
+                seen.add(_brute_inf_from(a, s, v))
+    return seen
 
 
 def brute_is_loop(a: DetAutomaton, z: frozenset[int]) -> bool:

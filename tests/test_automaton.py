@@ -38,13 +38,6 @@ class TestDetAutomaton:
         with pytest.raises(ValueError):
             DetAutomaton(alphabet=("a", "a"), n_states=1, initial=0, delta=(0, 0))
 
-    def test_from_table(self, ex1):
-        built = DetAutomaton.from_table(
-            ("a", "b"),
-            {(0, "a"): 0, (0, "b"): 1, (1, "a"): 0, (1, "b"): 1},
-        )
-        assert built == ex1
-
     @pytest.mark.parametrize("delta", [[0.9, 1.7], [True, False]])
     def test_validation_rejects_non_integer_numpy_table(self, delta):
         np = pytest.importorskip("numpy")
@@ -165,6 +158,3 @@ class TestLassoWord:
     def test_symbol_at_unrolls(self):
         w = LassoWord("ab", "c")
         assert [w.symbol_at(i) for i in range(5)] == ["a", "b", "c", "c", "c"]
-
-    def test_head(self):
-        assert LassoWord("", "ab").head(5) == ("a", "b", "a", "b", "a")

@@ -210,43 +210,38 @@ class TestBaireWitnessBundle:
 
 class TestClassifiers:
     def test_meagre_examples(self, ex1, ex2):
-        assert classify_meagre(ex1, MullerTable.of({0})).meagre_flag is TriState.YES
-        assert classify_meagre(ex2, MullerTable.of({1})).meagre_flag is TriState.NO
+        assert classify_meagre(ex1, MullerTable.of({0})) is TriState.YES
+        assert classify_meagre(ex2, MullerTable.of({1})) is TriState.NO
 
     def test_meagre_ignores_non_loop_entries(self, ex2):
         # {0} is not a loop; {1,2} is not an SCC: both inert
         t = MullerTable.of({0}, {1, 2})
-        assert classify_meagre(ex2, t).meagre_flag is TriState.YES
+        assert classify_meagre(ex2, t) is TriState.YES
 
     def test_meagre_ignores_unreachable_terminal_scc(self):
         # state 1 is a terminal SCC but unreachable
         a = DetAutomaton(alphabet=("a",), n_states=2, initial=0, delta=(0, 1))
-        assert classify_meagre(a, MullerTable.of({1})).meagre_flag is TriState.YES
+        assert classify_meagre(a, MullerTable.of({1})) is TriState.YES
 
     def test_openness_examples(self, ex2):
-        assert classify_openness(ex2, MullerTable.of({1})).open_flag is TriState.YES
+        assert classify_openness(ex2, MullerTable.of({1})) is TriState.YES
         # {0} is not a loop of ex2, so the loop entries are empty and the
         # (empty) language is open
-        assert classify_openness(ex2, MullerTable.of({0})).open_flag is TriState.YES
+        assert classify_openness(ex2, MullerTable.of({0})) is TriState.YES
 
     def test_openness_undecided_for_non_terminal_loop(self):
         # state 0 has a self-loop but can escape to the terminal state 1
         a = DetAutomaton(alphabet=("a", "b"), n_states=2, initial=0, delta=(0, 1, 1, 1))
-        assert (
-            classify_openness(a, MullerTable.of({0})).open_flag is TriState.UNDECIDED
-        )
+        assert classify_openness(a, MullerTable.of({0})) is TriState.UNDECIDED
 
     def test_openness_empty_table(self, ex1):
-        assert classify_openness(ex1, MullerTable.of()).open_flag is TriState.YES
+        assert classify_openness(ex1, MullerTable.of()) is TriState.YES
 
     def test_openness_requires_all_subloops(self, ex1):
         # {0,1} is the terminal SCC but {0} and {1} are loops inside it
-        assert (
-            classify_openness(ex1, MullerTable.of({0, 1})).open_flag
-            is TriState.UNDECIDED
-        )
+        assert classify_openness(ex1, MullerTable.of({0, 1})) is TriState.UNDECIDED
         t = MullerTable.of({0}, {1}, {0, 1})
-        assert classify_openness(ex1, t).open_flag is TriState.YES
+        assert classify_openness(ex1, t) is TriState.YES
 
     def test_density_examples(self, ex1, ex2):
         assert classify_loop_density(ex1, 0, {0, 1}) is LoopDensity.DENSE
@@ -272,7 +267,7 @@ class TestClassifiers:
         for _ in range(80):
             a = random_automaton(rng, rng.randint(2, 7))
             t = random_table(rng, a.n_states)
-            verdict = classify_meagre(a, t).meagre_flag
+            verdict = classify_meagre(a, t)
             w = build_open_witness(a, t)
             reach = analyze(w.automaton).reachable
             nonempty = any(next(iter(e)) in reach for e in w.table.entries)

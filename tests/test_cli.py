@@ -308,6 +308,16 @@ class TestSelftest:
         assert "failures=0" in capsys.readouterr().out
 
 
+def _run_script(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `script` in a fresh interpreter that imports this checkout."""
+    package_root = str(Path(omega_baire.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env
+    )
+
+
 def test_check_member_does_not_import_numpy(tmp_path):
     """Reading a file and checking a lasso needs no numpy, even for a table
     of 2^16 cells."""
@@ -326,17 +336,27 @@ def test_check_member_does_not_import_numpy(tmp_path):
         "codes = [run(['check', 'member', sys.argv[1], '--word', w]) for w in (':a', 'a:b')]\n"
         "print(codes, 'numpy' in sys.modules)\n"
     )
-    package_root = str(Path(omega_baire.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script, str(path)],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
+    done = _run_script(script, str(path))
+    assert done.returncode == 0, done.stderr
     assert done.stdout == "true\nfalse\n[0, 0] False\n"
+
+
+def test_internal_error_exit_6(ex1_file, tmp_path):
+    """A failed self-check (here: a counterexample that direct acceptance
+    does not confirm) is one diagnostic line and exit 6, not a traceback."""
+    bigger = tmp_path / "big.aut"
+    bigger.write_text(EX1_TEXT.replace("accept {0}", "accept {0,1}"))
+    script = (
+        "import sys\n"
+        "import omega_baire.oracle as oracle\n"
+        "from omega_baire.cli import run\n"
+        "oracle.accepts = lambda a, acc, w: True\n"
+        "sys.exit(run(['check', 'subset', sys.argv[1], sys.argv[2]]))\n"
+    )
+    done = _run_script(script, str(bigger), str(ex1_file))
+    assert done.returncode == 6
+    assert done.stdout == ""
+    assert done.stderr == "internal error: oracle witness failed direct verification\n"
 
 
 class TestRoundTripOfWrittenFiles:

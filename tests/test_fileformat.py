@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -24,7 +25,7 @@ from omega_baire import (
     parse_lasso_text,
     serialize_automaton,
 )
-from omega_baire import fileformat
+from omega_baire import fileformat, to_buchi
 from omega_baire.fileformat import _CHUNK_STATES, _parse_general, serialize_chunks
 from omega_baire.to_buchi import LayeredOrigins
 from conftest import random_automaton
@@ -454,8 +455,11 @@ def _translations(rng: random.Random, n: int):
     kernel and with and without pruning."""
     a, t = build_meagre_complement(random_automaton(rng, n, rng.randint(1, 3)))
     for prune in (True, False):
-        for vectorized in (False, True):
-            yield muller_to_buchi_maximal(a, t, prune=prune, vectorized=vectorized)
+        for threshold in (math.inf, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(to_buchi, "VECTORIZE_THRESHOLD", threshold)
+                tr = muller_to_buchi_maximal(a, t, prune=prune)
+            yield tr
 
 
 @given(st.integers(1, 40), st.integers(0, 10**9))

@@ -451,6 +451,7 @@ class TestCheckersCatchCorruption:
         assert not report.ok
         failed = {c.name for c in report.checks if c.status == "fail"}
         assert "symdiff-loops" in failed and "symdiff-lassos" in failed
+        assert "symdiff-symbolic" in failed
 
     def test_verify_catches_broken_translation(self, monkeypatch):
         # Sabotage the layered translation's accepting set inside the
@@ -466,7 +467,7 @@ class TestCheckersCatchCorruption:
                 accepting=BuchiSet(frozenset()),
                 origin=tr.origin,
                 unpruned_state_count=tr.unpruned_state_count,
-                blocks=tr.blocks,
+                report=tr.report,
             )
 
         monkeypatch.setattr(to_buchi_mod, "muller_to_buchi_maximal", sabotaged)

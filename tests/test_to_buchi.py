@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from omega_baire import (
     muller_to_buchi_maximal,
     product,
 )
+import omega_baire.to_buchi as to_buchi
 from omega_baire.oracle import bounded_lasso_scan, maximal_muller_buchi_equiv
 from conftest import random_automaton, random_lasso
 
@@ -161,9 +163,9 @@ class TestTranslation:
             a = random_automaton(rng, rng.randint(2, 6))
             t = scc_table(a, rng, junk=False)
             tr = muller_to_buchi_maximal(a, t, prune=False)
-            orderings = {min(b): sorted(b) for b in tr.blocks}
+            orderings = {min(b): sorted(b) for b in tr.report.blocks}
             block_of = {}
-            for b in tr.blocks:
+            for b in tr.report.blocks:
                 for s in b:
                     block_of[s] = min(b)
             word = [rng.choice(a.alphabet) for _ in range(40)]
@@ -184,12 +186,12 @@ class TestTranslation:
             a = random_automaton(rng, rng.randint(2, 6))
             t = scc_table(a, rng, junk=False)
             tr = muller_to_buchi_maximal(a, t, prune=False)
-            orderings = {frozenset(b): sorted(b) for b in tr.blocks}
+            orderings = {frozenset(b): sorted(b) for b in tr.report.blocks}
             word = [rng.choice(a.alphabet) for _ in range(40)]
             seq = layered_run(tr, word)
             for i, (base, layer) in enumerate(seq):
                 if layer >= 1:
-                    block = next(b for b in tr.blocks if base in b)
+                    block = next(b for b in tr.report.blocks if base in b)
                     needed = set(orderings[frozenset(block)][:layer])
                     # walk backwards to the last layer-0 position
                     start = i
@@ -247,12 +249,23 @@ class TestTranslation:
                 ) == accepts_buchi(unpruned.automaton, unpruned.accepting, w)
 
     def test_block_order_does_not_change_language(self):
+        # Relabelling the states s -> n-1-s reverses the order in which
+        # every block is swept.
         rng = random.Random(29)
         for _ in range(30):
             a = random_automaton(rng, rng.randint(1, 5))
             t = scc_table(a, rng, junk=False)
-            asc = muller_to_buchi_maximal(a, t, block_order="ascending")
-            desc = muller_to_buchi_maximal(a, t, block_order="descending")
+            n, r = a.n_states, len(a.alphabet)
+            flip = lambda s: n - 1 - s
+            flipped = DetAutomaton(
+                alphabet=a.alphabet,
+                n_states=n,
+                initial=flip(a.initial),
+                delta=[flip(a.delta[flip(s) * r + x]) for s in range(n) for x in range(r)],
+            )
+            flipped_t = MullerTable(frozenset(frozenset(map(flip, e)) for e in t.entries))
+            asc = muller_to_buchi_maximal(a, t)
+            desc = muller_to_buchi_maximal(flipped, flipped_t)
             verdict = maximal_muller_buchi_equiv(a, t, desc.automaton, desc.accepting)
             assert verdict.holds
             for _ in range(40):
@@ -261,18 +274,26 @@ class TestTranslation:
                     desc.automaton, desc.accepting, w
                 )
 
-    def test_vectorized_path_matches_python_path(self):
+    def test_vectorized_path_matches_python_path(self, monkeypatch):
+        numpy_runs = []
+        real = to_buchi._layered_delta_numpy
+        monkeypatch.setattr(
+            to_buchi, "_layered_delta_numpy", lambda *args: numpy_runs.append(1) or real(*args)
+        )
         rng = random.Random(31)
         for _ in range(20):
             a = random_automaton(rng, rng.randint(2, 30))
             t = scc_table(a, rng)
             for prune in (False, True):
-                py = muller_to_buchi_maximal(a, t, prune=prune, vectorized=False)
-                np_ = muller_to_buchi_maximal(a, t, prune=prune, vectorized=True)
+                monkeypatch.setattr(to_buchi, "VECTORIZE_THRESHOLD", math.inf)
+                py = muller_to_buchi_maximal(a, t, prune=prune)
+                monkeypatch.setattr(to_buchi, "VECTORIZE_THRESHOLD", 0)
+                np_ = muller_to_buchi_maximal(a, t, prune=prune)
                 assert py.automaton == np_.automaton
                 assert py.accepting == np_.accepting
                 assert py.unpruned_state_count == np_.unpruned_state_count
                 assert dict(py.origin) == dict(np_.origin)
+        assert len(numpy_runs) == 20 * 2  # the threshold picked each kernel once per pair
 
     def test_weakness_not_required_of_translation(self):
         # the layered automaton of a full SCC is generally not weak, but its
