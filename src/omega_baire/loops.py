@@ -195,35 +195,45 @@ def self_loop_symbol(a: DetAutomaton, s: int) -> int | None:
     return next((x for x in range(r) if a.delta[s * r + x] == s), None)
 
 
-def _induced_strongly_connected(a: DetAutomaton, zs: frozenset[int]) -> bool:
-    """Strong connectivity of the subgraph induced by `zs`; singletons need a
-    self-transition."""
-    if len(zs) == 1:
-        return self_loop_symbol(a, next(iter(zs))) is not None
-
+def _local_masks(a: DetAutomaton, members: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Successor and predecessor bitmasks of the subgraph induced by
+    `members`: bit j of succ[i] (and bit i of pred[j]) is set iff some symbol
+    maps members[i] to members[j]."""
+    pos = {s: i for i, s in enumerate(members)}
     r = len(a.alphabet)
     delta = a.delta
-    fwd: dict[int, set[int]] = {s: set() for s in zs}
-    rev: dict[int, set[int]] = {s: set() for s in zs}
-    for s in zs:
+    k = len(members)
+    bit = [1 << i for i in range(k)]
+    succ = [0] * k
+    pred = [0] * k
+    for i, s in enumerate(members):
         base = s * r
         for x in range(r):
-            t = delta[base + x]
-            if t in fwd:
-                fwd[s].add(t)
-                rev[t].add(s)
+            j = pos.get(delta[base + x])
+            if j is not None:
+                succ[i] |= bit[j]
+                pred[j] |= bit[i]
+    return succ, pred
 
-    start = next(iter(zs))
-    for adj in (fwd, rev):
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for t in adj[u]:
-                if t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
-        if len(seen) != len(zs):
+
+def _strongly_connected(succ: list[int], pred: list[int], mask: int) -> bool:
+    """Strong connectivity of the subgraph induced by the nonempty `mask`
+    over local masks from `_local_masks`: its lowest bit reaches every bit
+    forward and backward inside `mask` (the frontier is taken from its top
+    bit, which keeps the ints short); a singleton needs a self-transition."""
+    low = mask & -mask
+    if low == mask:
+        return succ[low.bit_length() - 1] & low != 0
+    for adj in (succ, pred):
+        rest = mask ^ low
+        frontier = low
+        while frontier and rest:
+            i = frontier.bit_length() - 1
+            frontier ^= 1 << i
+            new = adj[i] & rest
+            rest ^= new
+            frontier |= new
+        if rest:
             return False
     return True
 
@@ -248,17 +258,20 @@ def is_loop(
         reachable = analysis.reachable
     if zs.isdisjoint(reachable):
         return False
-    return _induced_strongly_connected(a, zs)
+    members = sorted(zs)
+    succ, pred = _local_masks(a, members)
+    return _strongly_connected(succ, pred, (1 << len(members)) - 1)
 
 
 def _iter_scc_loops(a: DetAutomaton, scc: frozenset[int]) -> Iterator[frozenset[int]]:
-    """Loops inside one reachable SCC, in ascending bitmask order."""
+    """Loops inside one reachable SCC, in ascending bitmask order (bit i
+    stands for the i-th smallest member)."""
     members = sorted(scc)
     k = len(members)
+    succ, pred = _local_masks(a, members)
     for mask in range(1, 1 << k):
-        subset = frozenset(members[i] for i in range(k) if mask >> i & 1)
-        if _induced_strongly_connected(a, subset):
-            yield subset
+        if _strongly_connected(succ, pred, mask):
+            yield frozenset(members[i] for i in range(k) if mask >> i & 1)
 
 
 def iter_loops(
@@ -269,7 +282,14 @@ def iter_loops(
 ) -> Iterator[frozenset[int]]:
     """Lazily yield all loops; loops live inside single SCCs, so only subsets
     of reachable SCCs are examined.  Raises SizeGuard when the total subset
-    count would exceed `budget`."""
+    count would exceed `budget`.
+
+    Each SCC's induced edges are stored once as int successor and
+    predecessor masks over its sorted members; every subset mask is then
+    tested by a forward and a backward closure from its lowest bit in int
+    operations (a singleton by its self-loop bit), and a frozenset is built
+    only for a loop.  SCCs come in id order, and the loops of one SCC in
+    ascending subset-mask order."""
     if analysis is None:
         analysis = analyze(a)
     candidates = [c for c in analysis.sccs if not c.isdisjoint(analysis.reachable)]

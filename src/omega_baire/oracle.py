@@ -344,16 +344,33 @@ def bounded_lasso_scan(
     *,
     budget: int = DEFAULT_SCAN_BUDGET,
 ) -> LassoWord | None:
-    """First lasso with |prefix| <= max_prefix and |period| <= max_period
-    whose Inf set satisfies `violation`, or None.
+    """First lasso with |prefix| <= max_prefix and 1 <= |period| <= max_period
+    whose Inf set satisfies `violation`, or None (also when that domain is
+    empty).
 
     Acceptance of a lasso depends on the prefix only through the state it
     reaches, so prefixes are collapsed to one shortest representative per
     reachable state; the scan is exhaustive over the full bounded domain.
+    Periods are walked in depth-first preorder, and for each period the
+    start states in ascending order; the first start whose run violates
+    gives the lasso.
+
+    Down the period walk each state carries its image under the period and
+    the mask of states visited while reading it, so the Inf set of a cycle
+    of the period map is the OR of its anchors' masks.  For each period one
+    pass over the map, stamping each state with the start whose walk
+    entered it first, finds the cycle every start falls into; each state is
+    walked once per period, and only a start that closes a new cycle needs
+    a verdict, since the others share the cycle of an earlier start.
+    Verdicts are memoized per Inf mask for the whole call: each distinct
+    Inf set costs one frozenset and one call, so `violation` must be a pure
+    function of the Inf set.
     """
     r = len(a.alphabet)
     n = a.n_states
     delta = a.delta
+    if max_prefix < 0 or max_period < 1:
+        return None
     cost = n * sum(r**j for j in range(1, max_period + 1))
     if cost > budget:
         raise SizeGuard(f"lasso scan needs about {cost} steps, budget is {budget}")
@@ -364,50 +381,57 @@ def bounded_lasso_scan(
     start_items = sorted(starts.items())
 
     step_maps = [[delta[s * r + x] for s in range(n)] for x in range(r)]
+    bit = [1 << s for s in range(n)]
+    # Walks are numbered over the whole call, one per start state; a state
+    # stamped at or after a period's first walk was entered in that period.
+    stamp = [0] * n
+    walk = 0
+    verdicts: dict[int, bool] = {}
 
-    def visit(mapping: list[int], period_idx: tuple[int, ...]) -> LassoWord | None:
-        verdicts: dict[int, bool] = {}
+    def violating_prefix(
+        mapping: list[int], trace: list[int]
+    ) -> tuple[str, ...] | None:
+        nonlocal walk
+        first_walk = walk + 1
         for state, prefix in start_items:
-            orbit = set()
+            walk += 1
             x = state
-            while x not in orbit:
-                orbit.add(x)
+            while stamp[x] < first_walk:
+                stamp[x] = walk
                 x = mapping[x]
-            cyc = [x]
+            if stamp[x] != walk:
+                continue  # the cycle of an earlier start, which did not violate
+            inf = trace[x]
             y = mapping[x]
             while y != x:
-                cyc.append(y)
+                inf |= trace[y]
                 y = mapping[y]
-            key = min(cyc)
-            verdict = verdicts.get(key)
+            verdict = verdicts.get(inf)
             if verdict is None:
-                inf: set[int] = set()
-                for c in cyc:
-                    tpos = c
-                    for xi in period_idx:
-                        tpos = delta[tpos * r + xi]
-                        inf.add(tpos)
-                verdict = violation(frozenset(inf))
-                verdicts[key] = verdict
+                zs = frozenset(q for q in range(n) if inf >> q & 1)
+                verdict = verdicts[inf] = violation(zs)
             if verdict:
-                return LassoWord(prefix, tuple(a.alphabet[i] for i in period_idx))
+                return prefix
         return None
 
-    def dfs(mapping: list[int], period_idx: tuple[int, ...]) -> LassoWord | None:
+    def dfs(
+        mapping: list[int], trace: list[int], period_idx: tuple[int, ...]
+    ) -> LassoWord | None:
         for xi in range(r):
             step = step_maps[xi]
             new_map = [step[m] for m in mapping]
+            new_trace = [v | bit[m] for v, m in zip(trace, new_map)]
             new_idx = period_idx + (xi,)
-            found = visit(new_map, new_idx)
-            if found is not None:
-                return found
+            prefix = violating_prefix(new_map, new_trace)
+            if prefix is not None:
+                return LassoWord(prefix, tuple(a.alphabet[i] for i in new_idx))
             if len(new_idx) < max_period:
-                found = dfs(new_map, new_idx)
+                found = dfs(new_map, new_trace, new_idx)
                 if found is not None:
                     return found
         return None
 
-    return dfs(list(range(n)), ())
+    return dfs(list(range(n)), [0] * n, ())
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from omega_baire import (
     BadLoop,
@@ -15,6 +17,7 @@ from omega_baire import (
     enumerate_loops,
     inf_set,
     is_loop,
+    iter_loops,
     loop_completing_words,
     run,
     words_to_state,
@@ -253,6 +256,41 @@ class TestEnumerateLoops:
                 inf_set(a, LassoWord(u, v)) for u in words for v in words if v
             }
             assert lassos_cover_loops(a, bound) == direct
+
+
+@st.composite
+def small_automata(draw) -> DetAutomaton:
+    n = draw(st.integers(1, 9))
+    r = draw(st.integers(1, 3))
+    flat = tuple(draw(st.integers(0, n - 1)) for _ in range(n * r))
+    return DetAutomaton(alphabet=tuple("abc"[:r]), n_states=n, initial=0, delta=flat)
+
+
+# 0 <-> 1 with no self-loop (so neither singleton is a loop), 2 unreachable.
+@example(DetAutomaton(alphabet=("a",), n_states=3, initial=0, delta=(1, 0, 2)))
+# a chain of singletons without self-loops into a self-looping sink
+@example(DetAutomaton(alphabet=("a", "b"), n_states=4, initial=0, delta=(1, 2, 2, 3, 3, 3, 3, 3)))
+@given(small_automata())
+@settings(max_examples=120, deadline=None)
+def test_mask_kernel_matches_literal_loops(a):
+    # Every subset against the literal definition: enumerate_loops lists the
+    # loops in ascending mask order, iter_loops yields each reachable SCC's
+    # loops in ascending mask order with the SCCs in id order, and is_loop
+    # agrees on every subset.
+    n = a.n_states
+    subsets = [frozenset(s for s in range(n) if mask >> s & 1) for mask in range(1, 1 << n)]
+    literal = [z for z in subsets if brute_is_loop(a, z)]
+    assert enumerate_loops(a) == literal
+    an = analyze(a)
+    by_scc = [
+        [z for z in literal if z <= scc]
+        for scc in an.sccs
+        if not scc.isdisjoint(an.reachable)
+    ]
+    assert list(iter_loops(a)) == [z for group in by_scc for z in group]
+    loops = set(literal)
+    for z in subsets:
+        assert is_loop(a, z) == (z in loops)
 
 
 class TestLoopCompletingWords:

@@ -29,6 +29,7 @@ from omega_baire import (
     verify_baire_witness,
     RandomSpec,
 )
+from omega_baire.automaton import inf_from_state
 from omega_baire.loops import enumerate_loops
 from omega_baire.oracle import lasso_domain_size
 from conftest import random_automaton, random_lasso, random_table
@@ -189,6 +190,80 @@ class TestBoundedLassoScan:
     def test_budget(self, ex1):
         with pytest.raises(SizeGuard):
             bounded_lasso_scan(ex1, lambda z: False, 8, 8, budget=10)
+
+    def test_empty_domain(self, ex1):
+        # No prefix (max_prefix < 0) or no period (max_period < 1): nothing
+        # to scan, even for a predicate that every Inf set satisfies.
+        for max_prefix, max_period in ((3, 0), (0, 0), (-1, 3), (-1, 0), (2, -1)):
+            assert lasso_domain_size(2, max_prefix, max_period) == 0
+            assert not list(exhaustive_lassos(ex1.alphabet, max_prefix, max_period))
+            assert bounded_lasso_scan(ex1, lambda z: True, max_prefix, max_period) is None
+        assert bounded_lasso_scan(ex1, lambda z: True, 0, 1) == LassoWord((), ("a",))
+
+    @staticmethod
+    def _reference_scan(a, violation, max_prefix, max_period):
+        """The scan's contract written out literally: periods in depth-first
+        preorder, then start states in ascending order, each with its
+        shortest prefix (successors in symbol order), judged by
+        `inf_from_state`."""
+        r = len(a.alphabet)
+        prefix = {a.initial: ()} if max_prefix >= 0 else {}
+        layer = list(prefix)
+        for _ in range(max_prefix):
+            nxt = []
+            for s in layer:
+                for x, tok in enumerate(a.alphabet):
+                    t = a.delta[s * r + x]
+                    if t not in prefix:
+                        prefix[t] = prefix[s] + (tok,)
+                        nxt.append(t)
+            layer = nxt
+
+        def periods(v):
+            if len(v) < max_period:
+                for x in range(r):
+                    yield v + (x,)
+                    yield from periods(v + (x,))
+
+        for v in periods(()):
+            for s in sorted(prefix):
+                if violation(inf_from_state(a, s, v)):
+                    return LassoWord(prefix[s], tuple(a.alphabet[x] for x in v))
+        return None
+
+    def test_same_lasso_as_reference(self):
+        rng = random.Random(61)
+        found = 0
+        for _ in range(300):
+            a = random_automaton(rng, rng.randint(1, 7), rng.randint(1, 3))
+            loops = enumerate_loops(a)
+            bad = {z for z in loops if rng.random() < 0.3}
+            pred = lambda z: z in bad
+            max_prefix, max_period = rng.randint(-1, 4), rng.randint(0, 4)
+            got = bounded_lasso_scan(a, pred, max_prefix, max_period)
+            assert got == self._reference_scan(a, pred, max_prefix, max_period)
+            found += got is not None
+        assert found >= 100
+
+    def test_one_call_per_inf_set(self):
+        # A predicate that never fires makes the scan cover its whole domain:
+        # it must ask about every Inf set of that domain, each exactly once.
+        rng = random.Random(67)
+        for _ in range(60):
+            a = random_automaton(rng, rng.randint(1, 7), rng.randint(1, 3))
+            max_prefix, max_period = rng.randint(0, 4), rng.randint(1, 4)
+            calls: list[frozenset[int]] = []
+
+            def never(z):
+                calls.append(z)
+                return False
+
+            assert bounded_lasso_scan(a, never, max_prefix, max_period) is None
+            assert len(calls) == len(set(calls))
+            expected = {
+                inf_set(a, w) for w in exhaustive_lassos(a.alphabet, max_prefix, max_period)
+            }
+            assert set(calls) == expected
 
     def test_domain_size(self):
         assert lasso_domain_size(2, 1, 1) == 3 * 2
