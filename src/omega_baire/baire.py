@@ -16,14 +16,8 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .automaton import BuchiSet, DetAutomaton, MullerTable
-from .errors import BadLoop, SizeGuard
-from .loops import (
-    DEFAULT_ENUMERATION_BUDGET,
-    SccAnalysis,
-    _iter_scc_loops,
-    analyze,
-    is_loop,
-)
+from .errors import BadLoop
+from .loops import SccAnalysis, analyze, cyclic_sccs, is_loop
 
 StateOrigin = Mapping[int, "int | frozenset[int]"]
 
@@ -230,16 +224,19 @@ def classify_meagre(
 
 
 def classify_openness(
-    a: DetAutomaton,
-    t: MullerTable,
-    analysis: SccAnalysis | None = None,
-    *,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
+    a: DetAutomaton, t: MullerTable, analysis: SccAnalysis | None = None
 ) -> TriState:
     """Open = YES when the loop entries are exactly all loops inside some set
     of terminal SCCs (the shape of languages `reach this terminal SCC`);
     otherwise UNDECIDED.  Deciding openness beyond this shape is out of
-    scope."""
+    scope.
+
+    A loop inside a required terminal SCC that is not an entry is searched
+    for as in Emerson & Lei (1987): a cycle-carrying SCC of the current set
+    that is not an entry is such a loop; one that is an entry is searched
+    again with each of its states removed.  Only entries are expanded, each
+    once, so the cost is polynomial in the table and the SCC sizes.
+    """
     if analysis is None:
         analysis = analyze(a)
     loop_entries = {e for e in t.entries if is_loop(a, e, analysis)}
@@ -255,15 +252,15 @@ def classify_openness(
             return TriState.UNDECIDED
         required.add(tid)
 
-    cost = sum(1 << len(analysis.sccs[tid]) for tid in required)
-    if cost > budget:
-        raise SizeGuard(
-            f"openness check needs {cost} subset checks, budget is {budget}"
-        )
-    for tid in required:
-        for z in _iter_scc_loops(a, analysis.sccs[tid]):
-            if z not in loop_entries:
+    pending = [analysis.sccs[tid] for tid in required]
+    expanded: set[frozenset[int]] = set()
+    while pending:
+        for comp in cyclic_sccs(a, pending.pop()):
+            if comp not in t.entries:
                 return TriState.UNDECIDED
+            if comp not in expanded:
+                expanded.add(comp)
+                pending.extend(comp - {s} for s in comp)
     return TriState.YES
 
 

@@ -218,7 +218,7 @@ def cmd_selftest(args) -> int:
     timings: list[float] = []
     master = random.Random(args.seed)
     for trial in range(args.trials):
-        n = master.randint(2, max(2, args.states))
+        n = master.randint(2, args.states)
         entries = master.randint(0, args.entries)
         seed = master.randrange(2**32)
         spec = RandomSpec(
@@ -257,6 +257,19 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
+def _at_least(lo: int):
+    """argparse type for an int no smaller than `lo`, so that a smaller value
+    is a usage error (exit 2) instead of a silently coerced run."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omega-baire",
@@ -270,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="SCC and table-entry report for a file")
     p.add_argument("file")
     p.add_argument("--enumerate-loops", action="store_true")
-    p.add_argument("--loop-budget", type=int, default=1 << 20)
+    p.add_argument("--loop-budget", type=_at_least(0), default=1 << 20)
     p.add_argument("--dot", metavar="PATH", help="write condensation graph as DOT")
     p.set_defaults(func=cmd_analyze)
 
@@ -302,19 +315,19 @@ def build_parser() -> argparse.ArgumentParser:
     subset = mode.add_parser("subset", help="is L(first) included in L(second)?")
     subset.add_argument("file")
     subset.add_argument("other")
-    subset.add_argument("--product-budget", type=int, default=4096)
-    subset.add_argument("--loop-budget", type=int, default=1 << 20)
+    subset.add_argument("--product-budget", type=_at_least(0), default=4096)
+    subset.add_argument("--loop-budget", type=_at_least(0), default=1 << 20)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("selftest", help="verify random instances end to end")
-    p.add_argument("--states", type=int, default=5)
-    p.add_argument("--alphabet", type=int, default=2)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--states", type=_at_least(2), default=5)
+    p.add_argument("--alphabet", type=_at_least(1), default=2)
+    p.add_argument("--trials", type=_at_least(1), default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--entries", type=int, default=4)
-    p.add_argument("--lasso-bound", type=int, default=8)
-    p.add_argument("--loop-budget", type=int, default=1 << 20)
-    p.add_argument("--product-budget", type=int, default=4096)
+    p.add_argument("--entries", type=_at_least(0), default=4)
+    p.add_argument("--lasso-bound", type=_at_least(1), default=8)
+    p.add_argument("--loop-budget", type=_at_least(0), default=1 << 20)
+    p.add_argument("--product-budget", type=_at_least(0), default=4096)
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -1,5 +1,5 @@
 """Graph substrate: the SCC decomposition and the level-order walk that the
-whole package shares, loops, and loop-completing words.
+whole package shares, and loops.
 
 A loop is a nonempty state set reachable from the initial state whose induced
 subgraph (transitions with both endpoints inside the set) is strongly
@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Container, Iterable, Iterator, Sequence
 
-from .automaton import DetAutomaton, LassoWord, MullerTable, inf_set
-from .errors import BadLoop, BadStateIndex, SizeGuard
+from .automaton import DetAutomaton
+from .errors import BadStateIndex, SizeGuard
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 20
 
@@ -195,6 +195,18 @@ def self_loop_symbol(a: DetAutomaton, s: int) -> int | None:
     return next((x for x in range(r) if a.delta[s * r + x] == s), None)
 
 
+def cyclic_sccs(
+    a: DetAutomaton, allowed: Collection[int] | None = None
+) -> Iterator[frozenset[int]]:
+    """The SCCs of the subgraph induced by `allowed` that carry a cycle (more
+    than one state, or a self-transition), sorted by smallest member.  Every
+    set inside `allowed` that carries a closed walk visiting all of it lies
+    inside exactly one of them."""
+    for comp in scc_decompose(a, allowed):
+        if len(comp) > 1 or self_loop_symbol(a, min(comp)) is not None:
+            yield comp
+
+
 def _local_masks(a: DetAutomaton, members: Sequence[int]) -> tuple[list[int], list[int]]:
     """Successor and predecessor bitmasks of the subgraph induced by
     `members`: bit j of succ[i] (and bit i of pred[j]) is set iff some symbol
@@ -263,17 +275,6 @@ def is_loop(
     return _strongly_connected(succ, pred, (1 << len(members)) - 1)
 
 
-def _iter_scc_loops(a: DetAutomaton, scc: frozenset[int]) -> Iterator[frozenset[int]]:
-    """Loops inside one reachable SCC, in ascending bitmask order (bit i
-    stands for the i-th smallest member)."""
-    members = sorted(scc)
-    k = len(members)
-    succ, pred = _local_masks(a, members)
-    for mask in range(1, 1 << k):
-        if _strongly_connected(succ, pred, mask):
-            yield frozenset(members[i] for i in range(k) if mask >> i & 1)
-
-
 def iter_loops(
     a: DetAutomaton,
     *,
@@ -299,7 +300,12 @@ def iter_loops(
             f"loop enumeration needs {cost} subset checks, budget is {budget}"
         )
     for scc in candidates:
-        yield from _iter_scc_loops(a, scc)
+        members = sorted(scc)
+        k = len(members)
+        succ, pred = _local_masks(a, members)
+        for mask in range(1, 1 << k):
+            if _strongly_connected(succ, pred, mask):
+                yield frozenset(members[i] for i in range(k) if mask >> i & 1)
 
 
 def enumerate_loops(
@@ -312,94 +318,3 @@ def enumerate_loops(
     loops = list(iter_loops(a, budget=budget, analysis=analysis))
     loops.sort(key=lambda z: sum(1 << s for s in z))
     return loops
-
-
-def loop_completing_words(
-    a: DetAutomaton, s: int, z: Iterable[int], len_bound: int
-) -> list[tuple[str, ...]]:
-    """All minimal words that return to `s` while sweeping exactly `z`.
-
-    A word qualifies when reading it from `s` ends at `s`, visits exactly the
-    states of `z`, and no nonempty proper prefix already did both.  The
-    result is prefix-free and listed in lexicographic symbol order.
-    """
-    zs = frozenset(z)
-    if s not in zs or not is_loop(a, zs):
-        raise BadLoop(f"state {s} and set {sorted(zs)} do not form a loop")
-    r = len(a.alphabet)
-    delta = a.delta
-    out: list[tuple[str, ...]] = []
-
-    def extend(state: int, sweep: frozenset[int], word: tuple[str, ...]) -> None:
-        for x in range(r):
-            t = delta[state * r + x]
-            if t not in zs:
-                continue
-            new_word = word + (a.alphabet[x],)
-            new_sweep = sweep | {t}
-            if t == s and new_sweep == zs:
-                out.append(new_word)
-            elif len(new_word) < len_bound:
-                extend(t, new_sweep, new_word)
-
-    if len_bound >= 1:
-        extend(s, frozenset({s}), ())
-    return out
-
-
-def words_to_state(a: DetAutomaton, s: int, len_bound: int) -> list[tuple[str, ...]]:
-    """All words of length <= len_bound leading from the initial state to `s`,
-    in shortlex order."""
-    out: list[tuple[str, ...]] = []
-    frontier: list[tuple[int, tuple[str, ...]]] = [(a.initial, ())]
-    if a.initial == s:
-        out.append(())
-    for _ in range(len_bound):
-        nxt: list[tuple[int, tuple[str, ...]]] = []
-        for state, word in frontier:
-            for x, tok in enumerate(a.alphabet):
-                t = a.delta[state * len(a.alphabet) + x]
-                w = word + (tok,)
-                if t == s:
-                    out.append(w)
-                nxt.append((t, w))
-        frontier = nxt
-    return out
-
-
-@dataclass(frozen=True)
-class LassoDecomposition:
-    """Witness that a lasso word lies in one prefix-then-cycle component of
-    the accepted language: after `prefix_len` symbols the run sits at `state`
-    inside `loop` and never leaves it."""
-
-    state: int
-    loop: frozenset[int]
-    prefix_len: int
-
-
-def decompose_lasso(
-    a: DetAutomaton, t: MullerTable, w: LassoWord
-) -> LassoDecomposition | None:
-    """Decompose an accepted lasso into its entry word and absorbed loop.
-
-    Returns the Inf set `Z` (a table entry), the first state from which the
-    run stays inside `Z` forever, and the minimal split position; or None
-    when the lasso is rejected.
-    """
-    z = inf_set(a, w)
-    if z not in t.entries:
-        return None
-    horizon = len(w.prefix) + (a.n_states + 1) * len(w.period)
-    states = [a.initial]
-    s = a.initial
-    for i in range(horizon):
-        s = a.delta[s * len(a.alphabet) + a.symbol_index[w.symbol_at(i)]]
-        states.append(s)
-    last_bad = -1
-    for i, st in enumerate(states):
-        if st not in z:
-            last_bad = i
-    p = last_bad + 1
-    return LassoDecomposition(state=states[p], loop=z, prefix_len=p)
-

@@ -162,40 +162,23 @@ def brute_is_loop(a: DetAutomaton, z: frozenset[int]) -> bool:
     return all(z <= inside_reachable(s) for s in z)
 
 
-def brute_loop_completing(
-    a: DetAutomaton, s: int, z: frozenset[int], bound: int
-) -> list[tuple[str, ...]]:
-    """Literal filter over every nonempty word up to the bound."""
-    r = len(a.alphabet)
+def exhaustive_lassos(alphabet, max_prefix: int, max_period: int):
+    """All lassos with |prefix| <= max_prefix and 1 <= |period| <= max_period,
+    prefix-major in shortlex order: the literal domain that
+    `bounded_lasso_scan` collapses."""
+    alphabet = tuple(alphabet)
 
-    def sweep(word: tuple[str, ...]) -> tuple[int, frozenset[int]]:
-        cur = s
-        seen = {cur}
-        for tok in word:
-            cur = a.delta[cur * r + a.symbol_index[tok]]
-            seen.add(cur)
-        return cur, frozenset(seen)
+    def words(lo: int, hi: int):
+        layer: list[tuple[str, ...]] = [()]
+        for length in range(hi + 1):
+            if length >= lo:
+                yield from layer
+            if length < hi:
+                layer = [w + (tok,) for w in layer for tok in alphabet]
 
-    words: list[tuple[str, ...]] = []
-    layer: list[tuple[str, ...]] = [()]
-    for _ in range(bound):
-        layer = [w + (tok,) for w in layer for tok in a.alphabet]
-        words.extend(layer)
-
-    out = []
-    for w in words:
-        end, swept = sweep(w)
-        if end != s or swept != z:
-            continue
-        minimal = True
-        for cut in range(1, len(w)):
-            pend, pswept = sweep(w[:cut])
-            if pend == s and pswept == z:
-                minimal = False
-                break
-        if minimal:
-            out.append(w)
-    return out
+    for u in words(0, max_prefix):
+        for v in words(1, max_period):
+            yield LassoWord(u, v)
 
 
 def accepts_by_brute_inf(a: DetAutomaton, acc, w: LassoWord) -> bool:

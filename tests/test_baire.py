@@ -23,7 +23,7 @@ from omega_baire import (
     enumerate_loops,
     run,
 )
-from conftest import random_automaton, random_lasso, random_table
+from conftest import brute_is_loop, random_automaton, random_lasso, random_table
 
 
 def merged_states(witness):
@@ -254,11 +254,58 @@ class TestClassifiers:
         with pytest.raises(BadLoop):
             classify_loop_density(ex2, 2, {1})
 
-    def test_openness_size_guard(self, ex1):
-        from omega_baire import SizeGuard
+    def test_openness_matches_brute_force(self):
+        # Literal reading of the shape: every loop entry lies in a terminal
+        # SCC, and every subset of such an SCC that is a loop is an entry.
+        def subsets(states):
+            members = sorted(states)
+            return [
+                frozenset(m for i, m in enumerate(members) if mask >> i & 1)
+                for mask in range(1, 1 << len(members))
+            ]
 
-        with pytest.raises(SizeGuard):
-            classify_openness(ex1, MullerTable.of({0, 1}), budget=2)
+        rng = random.Random(29)
+        verdicts = []
+        for _ in range(300):
+            a = random_automaton(rng, rng.randint(1, 8), rng.randint(1, 3))
+            an = analyze(a)
+            entries = set()
+            for tid in an.terminal:
+                if rng.random() < 0.6:
+                    entries.update(z for z in subsets(an.sccs[tid]) if rng.random() < 0.9)
+            if rng.random() < 0.2:
+                entries |= random_table(rng, a.n_states).entries
+            t = MullerTable(frozenset(entries))
+            loop_entries = [e for e in t.entries if brute_is_loop(a, e)]
+            homes = {an.scc_of[min(e)] for e in loop_entries}
+            shaped = homes <= an.terminal and all(
+                e <= an.sccs[an.scc_of[min(e)]] for e in loop_entries
+            )
+            if shaped:
+                shaped = all(
+                    z in t.entries
+                    for tid in homes
+                    for z in subsets(an.sccs[tid])
+                    if brute_is_loop(a, z)
+                )
+            expected = TriState.YES if shaped else TriState.UNDECIDED
+            assert classify_openness(a, t, an) is expected, (a, sorted(map(sorted, t.entries)))
+            verdicts.append(expected)
+        assert verdicts.count(TriState.YES) >= 40
+        assert verdicts.count(TriState.UNDECIDED) >= 40
+
+    def test_openness_at_scale(self):
+        # A 60-state terminal cycle: 2^60 subsets, none of which needs to be
+        # listed.  Without a chord the cycle is its only loop; the chord
+        # 30 -> 0 on b closes the sub-cycle {0..30}, which is not an entry.
+        n = 60
+        cycle = DetAutomaton(("a",), n, 0, tuple((s + 1) % n for s in range(n)))
+        everything = MullerTable.of(set(range(n)))
+        assert classify_openness(cycle, everything) is TriState.YES
+        chord = [(s + 1) % n for s in range(n) for _ in "ab"]
+        chord[2 * 30 + 1] = 0
+        a = DetAutomaton(("a", "b"), n, 0, tuple(chord))
+        assert classify_openness(a, everything) is TriState.UNDECIDED
 
     def test_meagre_matches_open_witness_emptiness(self):
         # The open witness language is empty exactly when the language is

@@ -308,6 +308,34 @@ class TestSelftest:
         assert "failures=0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selftest", "--states", "1"],
+        ["selftest", "--states", "0"],
+        ["selftest", "--trials", "0"],
+        ["selftest", "--trials", "-3"],
+        ["selftest", "--alphabet", "0"],
+        ["selftest", "--entries", "-1"],
+        ["selftest", "--lasso-bound", "0"],
+        ["selftest", "--loop-budget", "-1"],
+        ["selftest", "--product-budget", "-1"],
+        ["analyze", "x.aut", "--loop-budget", "-1"],
+        ["check", "subset", "x.aut", "y.aut", "--product-budget", "-1"],
+        ["check", "subset", "x.aut", "y.aut", "--loop-budget", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_argument_is_usage_error(argv, capsys):
+    # Rejected by argparse before any file is read or trial run.
+    with pytest.raises(SystemExit) as exc:
+        cli_run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least" in captured.err
+
+
 def _run_script(script: str, *args: str) -> subprocess.CompletedProcess:
     """Run `script` in a fresh interpreter that imports this checkout."""
     package_root = str(Path(omega_baire.__file__).resolve().parents[1])

@@ -6,31 +6,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omega_baire import (
-    BadLoop,
     DetAutomaton,
     LassoWord,
-    MullerTable,
     SizeGuard,
-    accepts_muller,
     analyze,
-    decompose_lasso,
     enumerate_loops,
     inf_set,
     is_loop,
     iter_loops,
-    loop_completing_words,
     run,
-    words_to_state,
 )
-from omega_baire.loops import bfs_parents, scc_decompose
-from conftest import (
-    brute_is_loop,
-    brute_loop_completing,
-    lassos_cover_loops,
-    random_automaton,
-    random_lasso,
-    random_table,
-)
+from omega_baire.loops import bfs_parents, cyclic_sccs, scc_decompose
+from conftest import brute_is_loop, lassos_cover_loops, random_automaton
 
 
 def single_state_automaton() -> DetAutomaton:
@@ -293,135 +280,18 @@ def test_mask_kernel_matches_literal_loops(a):
         assert is_loop(a, z) == (z in loops)
 
 
-class TestLoopCompletingWords:
-    def test_examples(self, ex1):
-        assert loop_completing_words(ex1, 0, {0}, 1) == [("a",)]
-        assert loop_completing_words(ex1, 0, {0, 1}, 2) == [("b", "a")]
-        assert loop_completing_words(ex1, 0, {0}, 3) == [("a",)]
-
-    def test_bad_loop(self, ex2):
-        with pytest.raises(BadLoop):
-            loop_completing_words(ex2, 0, {0}, 2)
-        with pytest.raises(BadLoop):
-            loop_completing_words(ex2, 2, {1}, 2)
-
-    def test_prefix_free(self):
-        rng = random.Random(59)
-        for _ in range(40):
-            a = random_automaton(rng, rng.randint(1, 5))
-            for z in enumerate_loops(a):
-                s = min(z)
-                words = loop_completing_words(a, s, z, 6)
-                for w1 in words:
-                    for w2 in words:
-                        if w1 != w2:
-                            assert w2[: len(w1)] != w1
-
-    def test_matches_literal_filter(self):
-        rng = random.Random(61)
-        for _ in range(25):
-            a = random_automaton(rng, rng.randint(1, 5))
-            for z in enumerate_loops(a):
-                for s in sorted(z):
-                    got = sorted(loop_completing_words(a, s, z, 5))
-                    expected = sorted(brute_loop_completing(a, s, z, 5))
-                    assert got == expected
-
-    def test_prefix_law(self):
-        # Prefixes of infinite concatenations are exactly the words whose
-        # every prefix keeps the run inside the loop.
-        rng = random.Random(67)
-        bound = 5
-        for _ in range(20):
-            a = random_automaton(rng, rng.randint(1, 4))
-            for z in enumerate_loops(a):
-                for s in sorted(z):
-                    stays = set()
-                    frontier = {(): s}
-                    for _ in range(bound):
-                        nxt = {}
-                        for w, cur in frontier.items():
-                            for x, tok in enumerate(a.alphabet):
-                                t = a.delta[cur * len(a.alphabet) + x]
-                                if t in z:
-                                    nxt[w + (tok,)] = t
-                                    stays.add(w + (tok,))
-                        frontier = nxt
-                    # every concatenation prefix stays inside the loop
-                    vs = loop_completing_words(a, s, z, bound)
-                    for v1 in vs:
-                        for v2 in vs:
-                            cat = (v1 + v2)[:bound]
-                            for cut in range(1, len(cat) + 1):
-                                assert cat[:cut] in stays
-                    # every staying word extends to a full sweep back to s
-                    for w in stays:
-                        end = run(a, s, w)
-                        seen = {s}
-                        cur = s
-                        for tok in w:
-                            cur = run(a, cur, (tok,))
-                            seen.add(cur)
-                        # a covering closed walk exists within the loop
-                        assert brute_is_loop(a, z)
-                        assert end in z and seen <= z
-
-
-class TestWordsToState:
-    def test_examples(self, ex1, ex2):
-        assert words_to_state(ex1, 0, 1) == [(), ("a",)]
-        assert words_to_state(ex2, 1, 1) == [("a",)]
-        assert words_to_state(ex2, 0, 2) == [()]
-
-    def test_shortlex_sorted(self, ex1):
-        words = words_to_state(ex1, 1, 3)
-        keys = [(len(w), w) for w in words]
-        assert keys == sorted(keys)
-
-    def test_all_words_reach_state(self):
-        rng = random.Random(71)
-        for _ in range(30):
-            a = random_automaton(rng, rng.randint(1, 5))
-            s = rng.randrange(a.n_states)
-            for w in words_to_state(a, s, 4):
-                assert run(a, a.initial, w) == s
-
-
-class TestDecomposeLasso:
-    def test_examples(self, ex1, ex2):
-        d = decompose_lasso(ex1, MullerTable.of({0}), LassoWord("ba", "a"))
-        assert (d.state, d.loop, d.prefix_len) == (0, {0}, 2)
-        assert decompose_lasso(ex1, MullerTable.of({0}), LassoWord("", "b")) is None
-        d = decompose_lasso(ex2, MullerTable.of({1}), LassoWord("a", "a"))
-        assert (d.state, d.loop, d.prefix_len) == (1, {1}, 1)
-
-    def test_equivalence_with_acceptance(self):
-        # Ten thousand random lassos: witness exists iff accepted.
-        rng = random.Random(73)
-        checked = 0
-        for _ in range(120):
-            a = random_automaton(rng, rng.randint(1, 6))
-            t = random_table(rng, a.n_states)
-            for _ in range(90):
-                w = random_lasso(rng, a.alphabet, 4, 4)
-                d = decompose_lasso(a, t, w)
-                accepted = accepts_muller(a, t, w)
-                assert (d is not None) == accepted
-                checked += 1
-                if d is not None:
-                    # the split position certifies membership
-                    assert d.loop == inf_set(a, w)
-                    assert d.loop in t.entries
-                    head = [w.symbol_at(i) for i in range(d.prefix_len)]
-                    assert run(a, a.initial, head) == d.state
-                    assert d.state in d.loop
-                    horizon = d.prefix_len + (a.n_states + 2) * len(w.period)
-                    cur = d.state
-                    for i in range(d.prefix_len, horizon):
-                        cur = run(a, cur, (w.symbol_at(i),))
-                        assert cur in d.loop
-                    # minimality: position before the split leaves the loop
-                    if d.prefix_len > 0:
-                        prev = run(a, a.initial, head[:-1])
-                        assert prev not in d.loop
-        assert checked >= 10_000
+def test_cyclic_sccs_are_the_maximal_loops_inside_a_set():
+    # Inside a set of reachable states the loops are the sets that carry a
+    # closed covering walk; the maximal ones are exactly the cycle-carrying
+    # SCCs of the induced subgraph, listed by smallest member.
+    rng = random.Random(79)
+    for _ in range(150):
+        a = random_automaton(rng, rng.randint(1, 8), rng.randint(1, 3))
+        allowed = sorted(s for s in analyze(a).reachable if rng.random() < 0.7)
+        subsets = [
+            frozenset(allowed[i] for i in range(len(allowed)) if mask >> i & 1)
+            for mask in range(1, 1 << len(allowed))
+        ]
+        loops = [z for z in subsets if brute_is_loop(a, z)]
+        maximal = [z for z in loops if not any(z < y for y in loops)]
+        assert list(cyclic_sccs(a, allowed)) == sorted(maximal, key=min)

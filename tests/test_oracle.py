@@ -16,10 +16,8 @@ from omega_baire import (
     analyze,
     boolean_table_op,
     bounded_lasso_scan,
-    exhaustive_lassos,
     inf_set,
     language_subset_oracle,
-    lasso_sampler,
     loop_lasso,
     maximal_muller_buchi_equiv,
     product,
@@ -32,7 +30,7 @@ from omega_baire import (
 from omega_baire.automaton import inf_from_state
 from omega_baire.loops import enumerate_loops
 from omega_baire.oracle import lasso_domain_size
-from conftest import random_automaton, random_lasso, random_table
+from conftest import exhaustive_lassos, random_automaton, random_lasso, random_table
 
 
 class TestTableAlgebra:
@@ -333,8 +331,16 @@ class TestRandomInstance:
         assert a.n_states == 500
         assert len(t.entries) == 4
 
+    @pytest.mark.parametrize("count", [-1, -2])
+    def test_rejects_negative_entry_count(self, count):
+        with pytest.raises(ValueError, match="table_entry_count"):
+            RandomSpec(n_states=3, table_entry_count=count)
+        assert random_instance(RandomSpec(n_states=3, table_entry_count=0))[1].entries == set()
+
 
 class TestLassoSampler:
+    """The literal lasso domain that the scan tests compare against."""
+
     def test_exhaustive_counting_example(self):
         lassos = list(exhaustive_lassos(("a", "b"), 1, 1))
         assert [(l.prefix, l.period) for l in lassos] == [
@@ -349,16 +355,6 @@ class TestLassoSampler:
     def test_exhaustive_count_matches_domain_size(self):
         got = sum(1 for _ in exhaustive_lassos(("a", "b"), 3, 2))
         assert got == lasso_domain_size(2, 3, 2)
-
-    def test_sampler_reproducible(self):
-        a = list(lasso_sampler(("a", "b"), 4, 4, 50, seed=9))
-        b = list(lasso_sampler(("a", "b"), 4, 4, 50, seed=9))
-        assert a == b
-        assert len(a) == 50
-
-    def test_periods_nonempty(self):
-        for w in lasso_sampler(("a", "b"), 3, 3, 200, seed=2):
-            assert len(w.period) >= 1
 
 
 class TestVerifyBaireWitness:
@@ -393,6 +389,18 @@ class TestVerifyBaireWitness:
         statuses = {c.name: c.status for c in report.checks}
         assert statuses["symdiff-loops"] == "skip"
         assert report.ok  # skips are not failures
+
+    def test_weakness_needs_no_loop_budget(self):
+        # {0, 1} is a two-state SCC below the terminal state 2.  Weakness is
+        # decided per SCC, so a loop budget that skips the product loop
+        # route does not skip it.
+        a = DetAutomaton(alphabet=("a", "b"), n_states=3, initial=0, delta=(1, 2, 0, 2, 2, 2))
+        report = verify_baire_witness(
+            a, MullerTable.of({2}), loop_budget=1, skip_over_budget=True
+        )
+        statuses = {c.name: c.status for c in report.checks}
+        assert statuses["symdiff-loops"] == "skip"
+        assert statuses["b1-weak"] == "pass"
 
     def test_budget_raises_without_skip(self, ex2):
         with pytest.raises(SizeGuard):
@@ -527,6 +535,27 @@ class TestCheckersCatchCorruption:
         failed = {c.name for c in report.checks if c.status == "fail"}
         assert "symdiff-loops" in failed and "symdiff-lassos" in failed
         assert "symdiff-symbolic" in failed
+
+    def test_verify_catches_straddling_open_buchi(self, monkeypatch):
+        # Sabotage the open Buchi automaton: accept state 0 of the two-state
+        # SCC {0, 1}, which is not terminal, so that SCC straddles.
+        import dataclasses
+
+        import omega_baire.oracle as oracle_mod
+
+        real = oracle_mod.build_baire_witness
+
+        def sabotaged(a, t, analysis=None, **kwargs):
+            w = real(a, t, analysis, **kwargs)
+            b1, acc = w.open_buchi
+            return dataclasses.replace(w, open_buchi=(b1, BuchiSet(acc.accepting | {0})))
+
+        monkeypatch.setattr(oracle_mod, "build_baire_witness", sabotaged)
+        a = DetAutomaton(alphabet=("a", "b"), n_states=3, initial=0, delta=(1, 2, 0, 2, 2, 2))
+        report = verify_baire_witness(a, MullerTable.of({2}))
+        weak = next(c for c in report.checks if c.name == "b1-weak")
+        assert (weak.status, weak.detail) == ("fail", "straddling loop [0, 1]")
+        assert not report.ok
 
     def test_verify_catches_broken_translation(self, monkeypatch):
         # Sabotage the layered translation's accepting set inside the

@@ -8,6 +8,7 @@ from pathlib import Path
 import omega_baire
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+PACKAGE = Path(omega_baire.__file__).resolve().parent
 
 PUBLIC = [
     "AlphabetMismatch",
@@ -22,7 +23,6 @@ PUBLIC = [
     "DetAutomaton",
     "DuplicateTransition",
     "FormatError",
-    "LassoDecomposition",
     "LassoWord",
     "LoopDensity",
     "MaximalLoopReport",
@@ -54,17 +54,13 @@ PUBLIC = [
     "classify_loop_density",
     "classify_meagre",
     "classify_openness",
-    "decompose_lasso",
     "enumerate_loops",
-    "exhaustive_lassos",
     "format_lasso",
     "format_word",
     "inf_set",
     "is_loop",
     "iter_loops",
     "language_subset_oracle",
-    "lasso_sampler",
-    "loop_completing_words",
     "loop_lasso",
     "maximal_muller_buchi_equiv",
     "muller_to_buchi_maximal",
@@ -77,7 +73,6 @@ PUBLIC = [
     "step",
     "table_subset_same_automaton",
     "verify_baire_witness",
-    "words_to_state",
 ]
 
 
@@ -104,3 +99,16 @@ def test_bench_imports_resolve():
     assert ("omega_baire.to_buchi", "VECTORIZE_THRESHOLD") in imports
     for module, name in imports:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_no_private_names_cross_modules():
+    # A `_name` is local to its module; a caller in a sibling module means
+    # the name belongs in that module's public part, or the code does.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "omega_baire"
+            ):
+                found.extend(f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_"))
+    assert found == []
