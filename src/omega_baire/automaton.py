@@ -10,6 +10,7 @@ only finitely presentable omega-words.
 
 from __future__ import annotations
 
+import operator
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,6 +54,14 @@ def _delta_bounds(delta: array, from_numpy: bool) -> tuple[int, int]:
     return min(delta), max(delta)
 
 
+def _as_int(value, what: str) -> int:
+    """A plain int from an int or a numpy integer; bools and floats are
+    rejected, not cast, since a file could not hold them."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class DetAutomaton:
     """Complete deterministic automaton: alphabet, states 0..n-1, initial
@@ -72,6 +81,8 @@ class DetAutomaton:
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
+        object.__setattr__(self, "n_states", _as_int(self.n_states, "n_states"))
+        object.__setattr__(self, "initial", _as_int(self.initial, "initial"))
         from_numpy = _is_ndarray(self.delta)
         object.__setattr__(self, "delta", _as_delta(self.delta))
         if len(self.alphabet) < 1:

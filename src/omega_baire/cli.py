@@ -35,8 +35,9 @@ from .fileformat import (
     parse_lasso_text,
     serialize_chunks,
 )
-from .loops import analyze, enumerate_loops, is_loop
+from .loops import DEFAULT_ENUMERATION_BUDGET, analyze, enumerate_loops, is_loop
 from .oracle import (
+    DEFAULT_PRODUCT_BUDGET,
     RandomSpec,
     accepts,
     language_subset_oracle,
@@ -283,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="SCC and table-entry report for a file")
     p.add_argument("file")
     p.add_argument("--enumerate-loops", action="store_true")
-    p.add_argument("--loop-budget", type=_at_least(0), default=1 << 20)
+    p.add_argument("--loop-budget", type=_at_least(0), default=DEFAULT_ENUMERATION_BUDGET)
     p.add_argument("--dot", metavar="PATH", help="write condensation graph as DOT")
     p.set_defaults(func=cmd_analyze)
 
@@ -315,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     subset = mode.add_parser("subset", help="is L(first) included in L(second)?")
     subset.add_argument("file")
     subset.add_argument("other")
-    subset.add_argument("--product-budget", type=_at_least(0), default=4096)
-    subset.add_argument("--loop-budget", type=_at_least(0), default=1 << 20)
+    subset.add_argument("--product-budget", type=_at_least(0), default=DEFAULT_PRODUCT_BUDGET)
+    subset.add_argument("--loop-budget", type=_at_least(0), default=DEFAULT_ENUMERATION_BUDGET)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("selftest", help="verify random instances end to end")
@@ -326,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--entries", type=_at_least(0), default=4)
     p.add_argument("--lasso-bound", type=_at_least(1), default=8)
-    p.add_argument("--loop-budget", type=_at_least(0), default=1 << 20)
-    p.add_argument("--product-budget", type=_at_least(0), default=4096)
+    p.add_argument("--loop-budget", type=_at_least(0), default=DEFAULT_ENUMERATION_BUDGET)
+    p.add_argument("--product-budget", type=_at_least(0), default=DEFAULT_PRODUCT_BUDGET)
     p.set_defaults(func=cmd_selftest)
 
     return parser

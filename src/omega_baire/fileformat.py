@@ -332,9 +332,14 @@ def serialize_chunks(
     origins: Mapping[int, object] | None = None,
 ) -> Iterator[str]:
     """The canonical text in pieces of at most a few thousand lines, for
-    writing a file without holding all of it; the acceptance is checked
-    before the first piece is asked for."""
+    writing a file without holding all of it; the acceptance and the origin
+    keys are checked before the first piece is asked for."""
     acc.validate_for(a.n_states)
+    # A LayeredOrigins has the keys 0..len-1, so its last key is enough.
+    keys = range(len(origins))[-1:] if isinstance(origins, LayeredOrigins) else origins or ()
+    bad = [s for s in keys if not 0 <= s < a.n_states]
+    if bad:
+        raise BadStateIndex(f"origin state {min(bad)} out of range")
     return _chunks(a, acc, origins)
 
 

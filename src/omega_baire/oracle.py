@@ -10,12 +10,25 @@ hide in the other: the loop route enumerates realizable Inf sets of a
 product, while the lasso route evaluates acceptance of concrete ultimately
 periodic words.  Every counterexample either route reports is re-verified by
 direct acceptance evaluation before it is returned.
+
+The checks of `verify_baire_witness`, in report order, with the budgets
+that can make them skip in brackets (F input, E open witness, F' meagre):
+  symdiff-symbolic   E's table is the merged states of F's terminal-SCC entries
+  symdiff-loops      no loop of the F x E product lies in (F xor E) minus F'
+                     [product, loop]
+  symdiff-lassos     no such lasso, prefix and period <= `lasso_bound` [product, scan]
+  symdiff-agreement  the two routes agree [skips when either route skipped]
+  b1-language        open Buchi automaton = E, exactly [product]
+  b1-weak            no reachable SCC of it straddles its accepting set
+  b2-language        meagre-complement Buchi automaton = its Muller form [product]
+  b2-bound           its unpruned size is |S| + sum of squared blocks <= |S| + |S|^2
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 from .automaton import (
@@ -28,6 +41,7 @@ from .automaton import (
 )
 from .baire import build_baire_witness
 from .errors import AlphabetMismatch, PreconditionViolated, SizeGuard
+from .fileformat import format_lasso
 from .loops import (
     DEFAULT_ENUMERATION_BUDGET,
     SccAnalysis,
@@ -122,13 +136,17 @@ def product(
     aA: DetAutomaton, aB: DetAutomaton, *, budget: int = DEFAULT_PRODUCT_BUDGET
 ) -> ProductAutomaton:
     """Synchronous product restricted to the states reachable from the pair
-    of initial states.  Requires identical alphabets, token for token."""
+    of initial states.  Requires identical alphabets, token for token.
+    Every product state, the initial pair too, counts against `budget`."""
     if aA.alphabet != aB.alphabet:
         raise AlphabetMismatch(
             f"alphabets differ: {list(aA.alphabet)} vs {list(aB.alphabet)}"
         )
     r = len(aA.alphabet)
     dA, dB = aA.delta, aB.delta
+    over_budget = f"product exceeds {budget} states; raise the budget to continue"
+    if budget < 1:
+        raise SizeGuard(over_budget)
     index: dict[tuple[int, int], int] = {(aA.initial, aB.initial): 0}
     pairs: list[tuple[int, int]] = [(aA.initial, aB.initial)]
     flat: list[int] = []
@@ -140,9 +158,7 @@ def product(
             nxt = index.get(key)
             if nxt is None:
                 if len(pairs) >= budget:
-                    raise SizeGuard(
-                        f"product exceeds {budget} states; raise the budget to continue"
-                    )
+                    raise SizeGuard(over_budget)
                 nxt = len(pairs)
                 index[key] = nxt
                 pairs.append(key)
@@ -509,6 +525,9 @@ def random_instance(spec: RandomSpec) -> tuple[DetAutomaton, MullerTable]:
 # End-to-end witness verification
 
 
+Verdict = tuple[str, LassoWord | None, str]  # a check's status, witness, detail
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -530,8 +549,6 @@ class WitnessReport:
         return all(c.status != "fail" for c in self.checks)
 
     def render(self) -> str:
-        from .fileformat import format_lasso
-
         lines = []
         for c in self.checks:
             line = f"check {c.name} {c.status}"
@@ -551,37 +568,21 @@ def verify_baire_witness(
     skip_over_budget: bool = False,
 ) -> WitnessReport:
     """Build the witness bundle with `build_baire_witness` and re-verify
-    every claimed property of exactly that bundle.
-
-    Checks: the table-level identity behind the open witness (its table is
-    exactly the merged states of the terminal-SCC entries), the inclusion
-    of the symmetric difference in the meagre set via product loops and via
-    exhaustive bounded lassos (and that those two routes agree), agreement
-    of both Buchi automata with their Muller counterparts, weakness of the
-    open Buchi automaton (one pass over its SCCs, so never skipped), and
-    the exact state bound of the layered translation.  With
-    `skip_over_budget`, checks whose exhaustive part would exceed a budget
-    are reported as skipped instead of raising SizeGuard.
-    """
+    every claimed property of exactly that bundle: the checks of the module
+    docstring, in that order.  With `skip_over_budget`, a check that raises
+    SizeGuard is reported as skipped with its message instead."""
+    if lasso_bound < 1:
+        raise ValueError(f"lasso_bound must be at least 1, got {lasso_bound}")
     analysis = analyze(a)
     t.validate_for(a.n_states)
     witness = build_baire_witness(a, t, analysis)
     a1, t1 = witness.open_muller
     _, meagre_table = witness.meagre_complement_muller
-    b1_automaton, b1_accepting = witness.open_buchi
-    b2_automaton, b2_accepting = witness.meagre_complement_buchi
+    meagre_buchi = witness.meagre_complement_buchi
     unpruned = witness.meagre_buchi_unpruned
-    checks: list[CheckResult] = []
+    results: dict[str, CheckResult] = {}
 
-    def guarded(name: str, fn: Callable[[], CheckResult]) -> None:
-        try:
-            checks.append(fn())
-        except SizeGuard as e:
-            if not skip_over_budget:
-                raise
-            checks.append(CheckResult(name, "skip", detail=str(e)))
-
-    def symdiff_symbolic() -> CheckResult:
+    def symdiff_symbolic() -> Verdict:
         # A run whose Inf set is a terminal SCC ends in that SCC's merged
         # state, so F and E agree on all such runs (and differ only inside
         # the meagre set) when E's table is exactly the merged states of the
@@ -593,116 +594,91 @@ def verify_baire_witness(
         )
         wrong = expected ^ t1.entries
         if not wrong:
-            return CheckResult("symdiff-symbolic", "pass")
-        detail = f"open table differs on {sorted(map(sorted, wrong))}"
-        return CheckResult("symdiff-symbolic", "fail", detail=detail)
+            return "pass", None, ""
+        return "fail", None, f"open table differs on {sorted(map(sorted, wrong))}"
 
-    prod1 = None
+    @cache
+    def symdiff_product() -> ProductAutomaton | str:
+        # An over-budget product keeps its message, so both routes skip with it.
+        try:
+            return product(a, a1, budget=product_budget)
+        except SizeGuard as e:
+            return str(e)
 
-    def symdiff_pred_factory():
+    def symdiff_route() -> tuple[DetAutomaton, Callable[[frozenset[int]], bool]]:
+        prod1 = symdiff_product()
+        if isinstance(prod1, str):
+            raise SizeGuard(prod1)
         left, right = prod1.left, prod1.right
-        t_entries = t.entries
-        t1_entries = t1.entries
-        t2_entries = meagre_table.entries
 
-        def pred(z: frozenset[int]) -> bool:
+        def in_symdiff(z: frozenset[int]) -> bool:
             zl = frozenset(left[q] for q in z)
             zr = frozenset(right[q] for q in z)
-            return ((zl in t_entries) != (zr in t1_entries)) and zl in t2_entries
+            return ((zl in t.entries) != (zr in t1.entries)) and zl in meagre_table.entries
 
-        return pred
+        return prod1.automaton, in_symdiff
 
-    def symdiff_loops() -> CheckResult:
-        pred = symdiff_pred_factory()
-        for z in iter_loops(prod1.automaton, budget=loop_budget):
-            if pred(z):
-                w = loop_lasso(prod1.automaton, z)
+    def symdiff_loops(p1: DetAutomaton, in_symdiff) -> Verdict:
+        for z in iter_loops(p1, budget=loop_budget):
+            if in_symdiff(z):
+                w = loop_lasso(p1, z)
                 in_f = accepts_muller(a, t, w)
                 in_e = accepts_muller(a1, t1, w)
                 in_meagre_complement = accepts_muller(a, meagre_table, w)
                 if not ((in_f != in_e) and in_meagre_complement):
                     raise RuntimeError("loop witness failed re-check")
-                return CheckResult("symdiff-loops", "fail", witness=w)
-        return CheckResult("symdiff-loops", "pass")
+                return "fail", w, ""
+        return "pass", None, ""
 
-    def symdiff_lassos() -> CheckResult:
-        pred = symdiff_pred_factory()
-        w = bounded_lasso_scan(prod1.automaton, pred, lasso_bound, lasso_bound)
+    def symdiff_lassos(p1: DetAutomaton, in_symdiff) -> Verdict:
+        w = bounded_lasso_scan(p1, in_symdiff, lasso_bound, lasso_bound)
         if w is not None:
-            return CheckResult("symdiff-lassos", "fail", witness=w)
+            return "fail", w, ""
         covered = lasso_domain_size(len(a.alphabet), lasso_bound, lasso_bound)
-        return CheckResult("symdiff-lassos", "pass", detail=f"covers {covered} lassos")
+        return "pass", None, f"covers {covered} lassos"
 
-    def b1_language() -> CheckResult:
-        verdict = maximal_muller_buchi_equiv(
-            a1, t1, b1_automaton, b1_accepting, product_budget=product_budget
-        )
-        if verdict.holds:
-            return CheckResult("b1-language", "pass")
-        return CheckResult("b1-language", "fail", witness=verdict.counterexample)
+    def symdiff_agreement() -> Verdict:
+        routes = (results["symdiff-loops"].status, results["symdiff-lassos"].status)
+        if "skip" in routes:
+            return "skip", None, "a route was skipped"
+        return ("pass" if routes[0] == routes[1] else "fail"), None, ""
 
-    def b1_weak() -> CheckResult:
+    def same_language(aut: DetAutomaton, table: MullerTable, buchi) -> Verdict:
+        v = maximal_muller_buchi_equiv(aut, table, *buchi, product_budget=product_budget)
+        return ("pass" if v.holds else "fail"), v.counterexample, ""
+
+    def b1_weak() -> Verdict:
         # A straddling loop lies inside one reachable SCC, which then
         # straddles too; so checking those SCCs is exact and polynomial.
+        b1, b1_accepting = witness.open_buchi
         acc = b1_accepting.accepting
-        r1 = len(b1_automaton.alphabet)
-        reachable = bfs_parents(b1_automaton.delta, r1, b1_automaton.initial)
-        for comp in cyclic_sccs(b1_automaton, reachable):
+        reachable = bfs_parents(b1.delta, len(b1.alphabet), b1.initial)
+        for comp in cyclic_sccs(b1, reachable):
             if not (comp <= acc or comp.isdisjoint(acc)):
-                return CheckResult(
-                    "b1-weak", "fail", detail=f"straddling loop {sorted(comp)}"
-                )
-        return CheckResult("b1-weak", "pass")
+                return "fail", None, f"straddling loop {sorted(comp)}"
+        return "pass", None, ""
 
-    def b2_language() -> CheckResult:
-        verdict = maximal_muller_buchi_equiv(
-            a,
-            meagre_table,
-            b2_automaton,
-            b2_accepting,
-            product_budget=product_budget,
-        )
-        if verdict.holds:
-            return CheckResult("b2-language", "pass")
-        return CheckResult("b2-language", "fail", witness=verdict.counterexample)
-
-    def b2_bound() -> CheckResult:
+    def b2_bound() -> Verdict:
         expected = buchi_state_bound(a, meagre_table, analysis)
         n = a.n_states
         ok = unpruned == expected and expected <= n + n * n
-        detail = f"unpruned {unpruned}, bound {expected}"
-        return CheckResult("b2-bound", "pass" if ok else "fail", detail=detail)
+        return ("pass" if ok else "fail"), None, f"unpruned {unpruned}, bound {expected}"
 
-    checks.append(symdiff_symbolic())
-    try:
-        prod1 = product(a, a1, budget=product_budget)
-    except SizeGuard as e:
-        if not skip_over_budget:
-            raise
-        for name in ("symdiff-loops", "symdiff-lassos", "symdiff-agreement"):
-            checks.append(CheckResult(name, "skip", detail=str(e)))
-    if prod1 is not None:
-        guarded("symdiff-loops", symdiff_loops)
-        guarded("symdiff-lassos", symdiff_lassos)
-        by_name = {c.name: c for c in checks}
-        loops_c = by_name.get("symdiff-loops")
-        lassos_c = by_name.get("symdiff-lassos")
-        if loops_c and lassos_c and "skip" not in (loops_c.status, lassos_c.status):
-            agree = loops_c.status == lassos_c.status
-            checks.append(
-                CheckResult("symdiff-agreement", "pass" if agree else "fail")
-            )
-        else:
-            checks.append(
-                CheckResult("symdiff-agreement", "skip", detail="a route was skipped")
-            )
-    guarded("b1-language", b1_language)
-    checks.append(b1_weak())
-    guarded("b2-language", b2_language)
-    guarded("b2-bound", b2_bound)
+    for name, check in (
+        ("symdiff-symbolic", symdiff_symbolic),
+        ("symdiff-loops", lambda: symdiff_loops(*symdiff_route())),
+        ("symdiff-lassos", lambda: symdiff_lassos(*symdiff_route())),
+        ("symdiff-agreement", symdiff_agreement),
+        ("b1-language", lambda: same_language(a1, t1, witness.open_buchi)),
+        ("b1-weak", b1_weak),
+        ("b2-language", lambda: same_language(a, meagre_table, meagre_buchi)),
+        ("b2-bound", b2_bound),
+    ):
+        try:
+            results[name] = CheckResult(name, *check())
+        except SizeGuard as e:
+            if not skip_over_budget:
+                raise
+            results[name] = CheckResult(name, "skip", detail=str(e))
 
-    return WitnessReport(
-        alphabet=a.alphabet,
-        buchi_unpruned=unpruned,
-        checks=tuple(checks),
-    )
+    return WitnessReport(a.alphabet, unpruned, tuple(results.values()))

@@ -216,8 +216,7 @@ def _layered_delta_numpy(
     first_np = np.asarray(first_of, dtype=np.int64)
 
     flat = np.empty((total, r), dtype=np.int64)
-    tgt = delta2d
-    flat[:n] = np.where(first_np[tgt] >= 0, first_np[tgt], tgt)
+    flat[:n] = np.where(first_np[delta2d] >= 0, first_np[delta2d], delta2d)
     for bi, members in enumerate(orderings):
         k = len(members)
         off = offsets[bi]
@@ -238,21 +237,19 @@ def _layered_delta_numpy(
     return flat
 
 
-def _prune_python(flat: list[int], r: int, total: int, initial: int):
+def _prune_python(flat: list[int], r: int, initial: int):
     kept = sorted(bfs_parents(flat, r, initial))
-    renumber = [-1] * total
-    for new, old in enumerate(kept):
-        renumber[old] = new
+    renumber = {old: new for new, old in enumerate(kept)}
     new_flat = [renumber[flat[old * r + x]] for old in kept for x in range(r)]
     return new_flat, kept
 
 
-def _prune_numpy(flat2d, initial: int):
+def _prune_numpy(flat2d, r: int, initial: int):
     """Reachability over the layered table, frontier-vectorized.  A level
     keeps one copy of each state: the position whose stamp survives."""
     import numpy as np
 
-    total, r = flat2d.shape
+    total = len(flat2d)
     visited = np.zeros(total, dtype=bool)
     visited[initial] = True
     stamp = np.empty(total, dtype=np.int64)
@@ -324,40 +321,24 @@ def muller_to_buchi_maximal(
         for bi, m in enumerate(orderings)
     ]
 
-    flat_table: object
-    kept: Sequence[int]
     if total * r >= VECTORIZE_THRESHOLD:
-        flat2d = _layered_delta_numpy(
-            a, orderings, offsets, block_of, rank0, first_of, total
-        )
-        if prune:
-            flat_table, kept = _prune_numpy(flat2d, a.initial)
-        else:
-            flat_table, kept = flat2d, range(total)
+        layered, prune_reachable = _layered_delta_numpy, _prune_numpy
     else:
-        flat = _layered_delta_python(
-            a, orderings, offsets, block_of, rank0, first_of, total
-        )
-        if prune:
-            flat_table, kept = _prune_python(flat, r, total, a.initial)
-        else:
-            flat_table, kept = flat, range(total)
-
+        layered, prune_reachable = _layered_delta_python, _prune_python
+    flat_table = layered(a, orderings, offsets, block_of, rank0, first_of, total)
+    kept: Sequence[int] = range(total)
     if prune:
-        # kept is ascending, so renumbering of the few special states is a
-        # binary search instead of a full index map.
-        def new_index(old: int) -> int | None:
-            i = bisect_right(kept, old) - 1
-            return i if i >= 0 and kept[i] == old else None
+        flat_table, kept = prune_reachable(flat_table, r, a.initial)
 
-        initial_new = new_index(a.initial)
-        assert initial_new is not None
-        accept_new = frozenset(
-            i for i in map(new_index, accepting_unpruned) if i is not None
-        )
-    else:
-        initial_new = a.initial
-        accept_new = frozenset(accepting_unpruned)
+    # kept is ascending, so renumbering of the few special states is a
+    # binary search instead of a full index map.
+    def new_index(old: int) -> int | None:
+        i = bisect_right(kept, old) - 1
+        return i if i >= 0 and kept[i] == old else None
+
+    initial_new = new_index(a.initial)
+    assert initial_new is not None
+    accept_new = frozenset(i for i in map(new_index, accepting_unpruned) if i is not None)
     automaton = DetAutomaton(
         alphabet=a.alphabet,
         n_states=len(kept),

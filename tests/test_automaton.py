@@ -15,7 +15,9 @@ from omega_baire import (
     accepts_muller,
     inf_set,
     is_loop,
+    parse_automaton,
     run,
+    serialize_automaton,
     step,
 )
 from conftest import brute_inf_set, random_automaton, random_lasso
@@ -51,6 +53,26 @@ class TestDetAutomaton:
                 alphabet=("a",), n_states=2, initial=0, delta=np.array([1, 0], dtype=dtype)
             )
             assert list(a.delta) == [1, 0]
+
+    @pytest.mark.parametrize("n_states, initial", [(2, True), (2, 0.0), (2.0, 0), (True, 0)])
+    def test_bool_or_float_state_numbers_rejected(self, n_states, initial):
+        with pytest.raises(TypeError, match="must be an integer"):
+            DetAutomaton(alphabet=("a",), n_states=n_states, initial=initial, delta=(1, 0))
+
+    @pytest.mark.parametrize("n_states, initial", [(2, 1), (2, True), (2, 0.0), (2, "int64")])
+    def test_accepted_automaton_round_trips_through_a_file(self, n_states, initial):
+        # An automaton the constructor accepts must come back from its own
+        # file; a bool `initial` would be written as "initial True", which
+        # the parser rejects.
+        if initial == "int64":
+            np = pytest.importorskip("numpy")
+            n_states, initial = np.int64(n_states), np.int64(1)
+        try:
+            a = DetAutomaton(alphabet=("a",), n_states=n_states, initial=initial, delta=(1, 0))
+        except TypeError:
+            return
+        assert type(a.n_states) is int and type(a.initial) is int
+        assert parse_automaton(serialize_automaton(a, BuchiSet.of(0))) == (a, BuchiSet.of(0))
 
     def test_hashable_and_equal(self, ex1):
         other = DetAutomaton(alphabet=("a", "b"), n_states=2, initial=0, delta=[0, 1, 0, 1])

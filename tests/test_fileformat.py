@@ -175,6 +175,20 @@ class TestSerialize:
         a, acc = parse_automaton(text)
         assert a == ex1
 
+    def test_origin_keys_outside_the_automaton_rejected(self, ex1):
+        one = DetAutomaton(alphabet=("a",), n_states=1, initial=0, delta=(0,))
+        with pytest.raises(BadStateIndex):
+            serialize_automaton(one, BuchiSet.of(0), {5: 7, -1: 3})
+        with pytest.raises(BadStateIndex):
+            serialize_chunks(ex1, BuchiSet.of(0), {0: 0, 2: 1})  # before any piece
+        # A LayeredOrigins is checked by its length: one key too many.
+        layered = LayeredOrigins(range(3), 3, [], [])
+        with pytest.raises(BadStateIndex):
+            serialize_chunks(ex1, BuchiSet.of(0), layered)
+        assert "# state 1: layered (1, 0)" in serialize_automaton(
+            ex1, BuchiSet.of(0), LayeredOrigins(range(2), 2, [], [])
+        )
+
     def test_layered_origin_comment(self, ex1):
         text = serialize_automaton(ex1, BuchiSet.of(0), {0: (0, 0), 1: (1, 2)})
         assert "# state 1: layered (1, 2)" in text

@@ -14,6 +14,7 @@ from omega_baire import (
     accepts_buchi,
     accepts_muller,
     analyze,
+    build_baire_witness,
     boolean_table_op,
     bounded_lasso_scan,
     inf_set,
@@ -29,7 +30,7 @@ from omega_baire import (
 )
 from omega_baire.automaton import inf_from_state
 from omega_baire.loops import enumerate_loops
-from omega_baire.oracle import lasso_domain_size
+from omega_baire.oracle import DEFAULT_PRODUCT_BUDGET, lasso_domain_size
 from conftest import exhaustive_lassos, random_automaton, random_lasso, random_table
 
 
@@ -88,6 +89,12 @@ class TestProduct:
     def test_budget(self, ex1, ex2):
         with pytest.raises(SizeGuard):
             product(ex1, ex2, budget=2)
+
+    def test_budget_counts_the_initial_pair(self):
+        one = DetAutomaton(alphabet=("a",), n_states=1, initial=0, delta=(0,))
+        assert product(one, one, budget=1).automaton.n_states == 1
+        with pytest.raises(SizeGuard):
+            product(one, one, budget=0)
 
 
 class TestLoopLasso:
@@ -402,6 +409,45 @@ class TestVerifyBaireWitness:
         assert statuses["symdiff-loops"] == "skip"
         assert statuses["b1-weak"] == "pass"
 
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_rejects_vacuous_lasso_bound(self, ex2, bound):
+        with pytest.raises(ValueError):
+            verify_baire_witness(ex2, MullerTable.of({1}), lasso_bound=bound)
+
+    @pytest.mark.parametrize("budget", [1, DEFAULT_PRODUCT_BUDGET])
+    def test_symdiff_product_built_once(self, ex2, budget, monkeypatch):
+        import omega_baire.oracle as oracle_mod
+
+        t = MullerTable.of({1})
+        bundle = build_baire_witness(ex2, t)
+        a1 = bundle.open_muller[0]
+        assert a1 != bundle.meagre_complement_buchi[0]
+        calls = []
+        real = oracle_mod.product
+
+        def counting(aA, aB, **kwargs):
+            calls.append((aA, aB))
+            return real(aA, aB, **kwargs)
+
+        monkeypatch.setattr(oracle_mod, "product", counting)
+        report = verify_baire_witness(ex2, t, product_budget=budget, skip_over_budget=True)
+        # One product for both symdiff routes; each equivalence check builds
+        # its own.
+        assert sum(aA is ex2 and aB == a1 for aA, aB in calls) == 1
+        assert len(calls) == 3
+        statuses = {c.name: c.status for c in report.checks}
+        if budget == 1:
+            for name in ("symdiff-loops", "symdiff-lassos", "symdiff-agreement"):
+                assert statuses[name] == "skip"
+            for name in ("symdiff-symbolic", "b1-weak", "b2-bound"):
+                assert statuses[name] == "pass"
+            details = {c.name: c.detail for c in report.checks}
+            assert details["symdiff-loops"] == details["symdiff-lassos"]
+            assert details["symdiff-loops"].startswith("product exceeds 1 states")
+            assert details["symdiff-agreement"] == "a route was skipped"
+        else:
+            assert set(statuses.values()) == {"pass"}
+
     def test_budget_raises_without_skip(self, ex2):
         with pytest.raises(SizeGuard):
             verify_baire_witness(ex2, MullerTable.of({1}), product_budget=1)
@@ -505,9 +551,9 @@ class TestCheckersCatchCorruption:
         w = bounded_lasso_scan(prod.automaton, disagree, 4, 4)
         assert w is not None
 
-    def test_verify_catches_broken_quotient(self, monkeypatch):
-        # Sabotage the open-witness table: accept the wrong merged state, so
-        # the open language becomes the b-branch instead of the a-branch.
+    @staticmethod
+    def _break_quotient(monkeypatch):
+        # Sabotage the open-witness table: accept the wrong merged states.
         # The verifier checks the bundle of build_baire_witness, so the
         # sabotage goes where that pipeline looks the builder up.
         import omega_baire.baire as baire_mod
@@ -527,6 +573,10 @@ class TestCheckersCatchCorruption:
             return OpenWitness(automaton=w.automaton, table=broken, origin=w.origin)
 
         monkeypatch.setattr(baire_mod, "build_open_witness", sabotaged)
+
+    def test_verify_catches_broken_quotient(self, monkeypatch):
+        # The open language becomes the b-branch instead of the a-branch.
+        self._break_quotient(monkeypatch)
         ex2 = DetAutomaton(
             alphabet=("a", "b"), n_states=3, initial=0, delta=(1, 2, 1, 1, 2, 2)
         )
@@ -535,6 +585,19 @@ class TestCheckersCatchCorruption:
         failed = {c.name for c in report.checks if c.status == "fail"}
         assert "symdiff-loops" in failed and "symdiff-lassos" in failed
         assert "symdiff-symbolic" in failed
+
+    def test_verify_routes_disagree(self, monkeypatch):
+        # With one terminal SCC the sabotage empties the open table, so each
+        # run into state 3 is in the symmetric difference.  The shortest such
+        # lasso, aab:a, is too long for lasso_bound=1: only the loop route
+        # finds it, and the agreement check fails.
+        self._break_quotient(monkeypatch)
+        a = DetAutomaton(alphabet=("a", "b"), n_states=4, initial=0, delta=(1, 0, 2, 0, 0, 3, 3, 3))
+        report = verify_baire_witness(a, MullerTable.of({3}), lasso_bound=1)
+        lines = report.render().splitlines()
+        assert "check symdiff-loops fail aab:a" in lines
+        assert "check symdiff-lassos pass" in lines
+        assert "check symdiff-agreement fail" in lines
 
     def test_verify_catches_straddling_open_buchi(self, monkeypatch):
         # Sabotage the open Buchi automaton: accept state 0 of the two-state
