@@ -28,8 +28,10 @@ def _is_ndarray(values) -> bool:
 
 def _as_delta(values) -> array:
     """Normalize a transition table to a compact int64 array without copying
-    element by element when the source is already binary.  A numpy table
-    must have an integer dtype; floats and bools are rejected, not cast."""
+    element by element when the source is already binary; a C-ordered int64
+    numpy table is read through its buffer, with no transient copy.  A numpy
+    table must have an integer dtype; floats and bools are rejected, not
+    cast."""
     if isinstance(values, array) and values.typecode == "q":
         return values
     if _is_ndarray(values):
@@ -37,8 +39,9 @@ def _as_delta(values) -> array:
             raise ValueError(
                 f"transition table must hold integers, got dtype {values.dtype}"
             )
+        table = values.astype("int64", copy=False).ravel()
         out = array("q")
-        out.frombytes(values.astype("int64", copy=False).tobytes())
+        out.frombytes(memoryview(table).cast("B"))
         return out
     return array("q", values)
 

@@ -216,6 +216,7 @@ def cmd_check(args) -> int:
 
 def cmd_selftest(args) -> int:
     failures = 0
+    skipped = 0
     timings: list[float] = []
     master = random.Random(args.seed)
     for trial in range(args.trials):
@@ -242,10 +243,15 @@ def cmd_selftest(args) -> int:
         status = "pass" if report.ok else "fail"
         if not report.ok:
             failures += 1
+        trial_skipped = sum(c.status == "skip" for c in report.checks)
+        skipped += trial_skipped
+        if trial_skipped:
+            status += f" skipped={trial_skipped}"
         print(f"trial {trial} n={n} entries={len(t.entries)} seed={seed} {status}")
         if not report.ok:
             print(report.render())
-    print(f"selftest trials={args.trials} failures={failures}")
+    summary = f"selftest trials={args.trials} failures={failures}"
+    print(summary + (f" skipped={skipped}" if skipped else ""))
 
     if timings:
         ms = sorted(x * 1000 for x in timings)

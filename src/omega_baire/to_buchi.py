@@ -25,6 +25,8 @@ from .loops import SccAnalysis, analyze, bfs_parents, is_loop
 # From this many (state, symbol) cells of the unpruned output on, the
 # construction uses the numpy kernel; below it, the pure-Python one.
 VECTORIZE_THRESHOLD = 1 << 16
+# Rows the numpy prune renumbers per slice.
+_PRUNE_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -237,25 +239,49 @@ def _layered_delta_numpy(
     return flat
 
 
-def _prune_python(flat: list[int], r: int, initial: int):
-    kept = sorted(bfs_parents(flat, r, initial))
+def _prune_python(flat: list[int], r: int, seeds: list[int]):
+    """Reachability over the layered table by one level-order walk from the
+    initial state `seeds[0]`.  The other seeds are reachable from it (see
+    `_prune_numpy`), and a walk in Python pays per state, not per level."""
+    kept = sorted(bfs_parents(flat, r, seeds[0]))
     renumber = {old: new for new, old in enumerate(kept)}
     new_flat = [renumber[flat[old * r + x]] for old in kept for x in range(r)]
     return new_flat, kept
 
 
-def _prune_numpy(flat2d, r: int, initial: int):
-    """Reachability over the layered table, frontier-vectorized.  A level
-    keeps one copy of each state: the position whose stamp survives."""
+def _prune_numpy(flat2d, r: int, seeds: list[int]):
+    """Reachability over the layered table, frontier-vectorized from all
+    `seeds` at once.  A level keeps one copy of each state: the position
+    whose stamp survives.
+
+    The seeds are the initial state and the entry corner of every layer,
+    `(members[j], j + 1)` for j = 0..k-1 of each block.  Every corner is
+    reachable from the initial state, so the walk finds exactly the states
+    a walk from the initial state alone would find:
+      * every block is a loop, so it is reachable, and it is an SCC, so once
+        the run is in the block it can reach the block's first state; from
+        layer 0, or already at layer 1, that is the layer-1 corner;
+      * from the layer-j corner, a path inside the block to `members[j]`
+        keeps layer j until it reaches `members[j]`, which promotes it to
+        the layer-(j+1) corner.
+    A walk from the initial state alone needs about one level per layer,
+    since layer j+1 is only entered from layer j; from every corner, the
+    levels are those of the deepest single layer.  The seeds are distinct,
+    so they go in unsorted.
+
+    Row gathers use `take`, which is much faster than fancy indexing on a
+    two-column table.  Each full-size work array is dropped once done, and
+    the renumbered table is filled a slice of rows at a time, so the peak
+    holds the two tables, the kept states and the renumbering map."""
     import numpy as np
 
     total = len(flat2d)
     visited = np.zeros(total, dtype=bool)
-    visited[initial] = True
+    frontier = np.array(seeds, dtype=np.int64)
+    visited[frontier] = True
     stamp = np.empty(total, dtype=np.int64)
-    frontier = np.array([initial], dtype=np.int64)
     while frontier.size:
-        nxt = flat2d[frontier].ravel()
+        nxt = flat2d.take(frontier, axis=0).ravel()
         nxt = nxt[~visited[nxt]]
         if nxt.size > 1:
             positions = np.arange(nxt.size)
@@ -263,12 +289,18 @@ def _prune_numpy(flat2d, r: int, initial: int):
             nxt = nxt[stamp[nxt] == positions]
         visited[nxt] = True
         frontier = nxt
+    del stamp
     kept_np = np.flatnonzero(visited)
+    del visited
     renumber = np.full(total, -1, dtype=np.int64)
     renumber[kept_np] = np.arange(kept_np.size, dtype=np.int64)
-    new_flat = renumber[flat2d[kept_np]]
+    new_flat = np.empty((kept_np.size, r), dtype=np.int64)
+    for lo in range(0, kept_np.size, _PRUNE_ROWS):
+        rows = kept_np[lo : lo + _PRUNE_ROWS]
+        new_flat[lo : lo + rows.size] = renumber.take(flat2d.take(rows, axis=0))
+    del renumber
     kept = array("q")
-    kept.frombytes(kept_np.astype(np.int64, copy=False).tobytes())
+    kept.frombytes(memoryview(kept_np.astype(np.int64, copy=False)).cast("B"))
     return new_flat, kept
 
 
@@ -328,7 +360,12 @@ def muller_to_buchi_maximal(
     flat_table = layered(a, orderings, offsets, block_of, rank0, first_of, total)
     kept: Sequence[int] = range(total)
     if prune:
-        flat_table, kept = prune_reachable(flat_table, r, a.initial)
+        # the initial state and the entry corner of every layer
+        seeds = [a.initial]
+        for off, members in zip(offsets, orderings):
+            k = len(members)
+            seeds.extend(range(off, off + k * k, k + 1))
+        flat_table, kept = prune_reachable(flat_table, r, seeds)
 
     # kept is ascending, so renumbering of the few special states is a
     # binary search instead of a full index map.

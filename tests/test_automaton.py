@@ -54,6 +54,18 @@ class TestDetAutomaton:
             )
             assert list(a.delta) == [1, 0]
 
+    def test_numpy_tables_read_in_row_major_order(self):
+        # The table is read through its buffer: a transposed, strided or
+        # big-endian array must still give its row-major values, and an
+        # empty one the size error.
+        np = pytest.importorskip("numpy")
+        cols = np.array([[1, 0], [0, 1]], dtype=np.int64)
+        for delta in (cols.T, np.array([1, 9, 0, 9, 0, 9, 1, 9])[::2], cols.T.astype(">i8")):
+            a = DetAutomaton(alphabet=("a", "b"), n_states=2, initial=0, delta=delta)
+            assert list(a.delta) == [1, 0, 0, 1]
+        with pytest.raises(ValueError, match="entries"):
+            DetAutomaton(alphabet=("a",), n_states=1, initial=0, delta=np.zeros((0, 1), dtype=np.int64))
+
     @pytest.mark.parametrize("n_states, initial", [(2, True), (2, 0.0), (2.0, 0), (True, 0)])
     def test_bool_or_float_state_numbers_rejected(self, n_states, initial):
         with pytest.raises(TypeError, match="must be an integer"):

@@ -307,6 +307,22 @@ class TestSelftest:
         assert code == 0
         assert "failures=0" in capsys.readouterr().out
 
+    def test_skipped_checks_are_counted(self, capsys):
+        # A zero product budget skips the five product checks on every trial;
+        # the report says so instead of a bare "pass".
+        code = cli_run(["selftest", "--trials", "3", "--product-budget", "0"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4
+        assert all(line.endswith(" pass skipped=5") for line in lines[:3])
+        assert lines[3] == "selftest trials=3 failures=0 skipped=15"
+
+    def test_no_skip_count_without_skips(self, capsys):
+        cli_run(["selftest", "--states", "5", "--trials", "5", "--seed", "7"])
+        out = capsys.readouterr().out
+        assert "skipped" not in out
+        assert out.splitlines()[-1] == "selftest trials=5 failures=0"
+
 
 @pytest.mark.parametrize(
     "argv",

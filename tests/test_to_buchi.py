@@ -1,7 +1,11 @@
 import math
 import random
+import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from omega_baire import (
     DetAutomaton,
@@ -18,6 +22,7 @@ from omega_baire import (
     product,
 )
 import omega_baire.to_buchi as to_buchi
+from omega_baire.loops import bfs_parents
 from omega_baire.oracle import bounded_lasso_scan, maximal_muller_buchi_equiv
 from conftest import random_automaton, random_lasso
 
@@ -304,3 +309,87 @@ class TestTranslation:
         )
         loops = enumerate_loops(tr.automaton)
         assert loops  # sanity: the layered graph has loops
+
+
+@st.composite
+def block_mixes(draw):
+    """An automaton made of a chain of components, each transition staying in
+    its component or going to a later one, with a random initial state: the
+    components before the initial one are unreachable and any component with
+    an exit is not terminal.  The table is a random choice of its SCCs, so
+    its blocks include non-terminal, one-state self-loop and initial ones,
+    beside unreachable SCCs that are dropped."""
+    r = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    n = sum(sizes)
+    delta = []
+    lo = 0
+    for size in sizes:
+        for _ in range(size * r):
+            stay = draw(st.integers(0, 3)) > 0
+            delta.append(draw(st.integers(lo, lo + size - 1 if stay else n - 1)))
+        lo += size
+    a = DetAutomaton(
+        alphabet=tuple("abc"[:r]), n_states=n, initial=draw(st.integers(0, n - 1)), delta=delta
+    )
+    sccs = analyze(a).sccs
+    chosen = draw(st.lists(st.booleans(), min_size=len(sccs), max_size=len(sccs)))
+    return a, MullerTable(frozenset(z for z, keep in zip(sccs, chosen) if keep))
+
+
+# {0,1} is unreachable from the initial state 2, a one-state self-loop block
+@example((DetAutomaton(("a", "b"), 3, 2, (1, 0, 0, 2, 2, 2)), MullerTable.of({0, 1}, {2})))
+# the same from 0: {0,1} holds the initial state and is not terminal
+@example((DetAutomaton(("a", "b"), 3, 0, (1, 0, 0, 2, 2, 2)), MullerTable.of({0, 1}, {2})))
+@given(block_mixes())
+@settings(max_examples=150, deadline=None)
+def test_seeded_prune_keeps_what_the_initial_state_reaches(instance):
+    # The numpy prune walks from every layer's entry corner at once; every
+    # seed must be reachable from the initial state, and the kept states and
+    # the renumbered table must be those of one walk from the initial state.
+    a, t = instance
+    r = len(a.alphabet)
+    calls = []
+    real = to_buchi._prune_numpy
+
+    def spy(flat2d, r_, seeds):
+        result = real(flat2d, r_, seeds)
+        calls.append((flat2d.ravel().tolist(), seeds, result))
+        return result
+
+    with mock.patch.object(to_buchi, "VECTORIZE_THRESHOLD", 0), mock.patch.object(
+        to_buchi, "_prune_numpy", spy
+    ):
+        tr = muller_to_buchi_maximal(a, t)
+    ((flat, seeds, (new_flat, kept)),) = calls
+    reference = sorted(bfs_parents(flat, r, a.initial))
+    assert set(seeds) <= set(reference)
+    renumber = {old: new for new, old in enumerate(reference)}
+    expected = [renumber[flat[old * r + x]] for old in reference for x in range(r)]
+    assert list(kept) == reference
+    assert new_flat.ravel().tolist() == expected
+    assert list(tr.automaton.delta) == expected
+
+
+def test_translation_peak_memory_per_output_state():
+    # One 400-state SCC, about 158k output states on the numpy kernel.  At
+    # its traced peak the prune holds the unpruned and the pruned table (16 B
+    # a state each at two letters), the kept list and the renumbering map:
+    # about 49 B per output state.  A transient `tobytes()` copy of the
+    # pruned table or of the kept list gives about 57 B.
+    import numpy  # noqa: F401  (imported here so that its import is not traced)
+
+    n = 400
+    rng = random.Random(41)
+    delta = [x for s in range(n) for x in ((s + 1) % n, rng.randrange(n))]
+    a = DetAutomaton(alphabet=("a", "b"), n_states=n, initial=0, delta=delta)
+    t = MullerTable.of(range(n))
+    analysis = analyze(a)
+    tracemalloc.start()
+    try:
+        tr = muller_to_buchi_maximal(a, t, analysis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.unpruned_state_count * len(a.alphabet) >= to_buchi.VECTORIZE_THRESHOLD
+    assert peak / tr.automaton.n_states < 53
