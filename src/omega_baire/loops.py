@@ -70,17 +70,17 @@ def bfs_parents(
     parent = {start: (-1, -1)}
     frontier = [start]
     level = 0
+    symbols = range(r)
     while frontier and (depth is None or level < depth):
         level += 1
         nxt: list[int] = []
         for s in frontier:
             base = s * r
-            for x in range(r):
+            for x in symbols:
                 t = delta[base + x]
-                if t in parent or (allowed is not None and t not in allowed):
-                    continue
-                parent[t] = (s, x)
-                nxt.append(t)
+                if t not in parent and (allowed is None or t in allowed):
+                    parent[t] = (s, x)
+                    nxt.append(t)
         frontier = nxt
     return parent
 

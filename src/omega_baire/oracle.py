@@ -18,7 +18,8 @@ that can make them skip in brackets (F input, E open witness, F' meagre):
                      [product, loop]
   symdiff-lassos     no such lasso, prefix and period <= `lasso_bound` [product, scan]
   symdiff-agreement  the two routes agree [skips when either route skipped]
-  b1-language        open Buchi automaton = E, exactly [product]
+  b1-language        open Buchi automaton = E, exactly (its product is the
+                     diagonal of E, given a budget of at least |E| states)
   b1-weak            no reachable SCC of it straddles its accepting set
   b2-language        meagre-complement Buchi automaton = its Muller form [product]
   b2-bound           its unpruned size is |S| + sum of squared blocks <= |S| + |S|^2
@@ -643,8 +644,8 @@ def verify_baire_witness(
             return "skip", None, "a route was skipped"
         return ("pass" if routes[0] == routes[1] else "fail"), None, ""
 
-    def same_language(aut: DetAutomaton, table: MullerTable, buchi) -> Verdict:
-        v = maximal_muller_buchi_equiv(aut, table, *buchi, product_budget=product_budget)
+    def same_language(aut: DetAutomaton, table: MullerTable, buchi, budget: int) -> Verdict:
+        v = maximal_muller_buchi_equiv(aut, table, *buchi, product_budget=budget)
         return ("pass" if v.holds else "fail"), v.counterexample, ""
 
     def b1_weak() -> Verdict:
@@ -669,9 +670,14 @@ def verify_baire_witness(
         ("symdiff-loops", lambda: symdiff_loops(*symdiff_route())),
         ("symdiff-lassos", lambda: symdiff_lassos(*symdiff_route())),
         ("symdiff-agreement", symdiff_agreement),
-        ("b1-language", lambda: same_language(a1, t1, witness.open_buchi)),
+        # E's Buchi form reuses E's automaton, so this product is the
+        # diagonal: at most |E| states, whatever `product_budget` is.
+        (
+            "b1-language",
+            lambda: same_language(a1, t1, witness.open_buchi, max(product_budget, a1.n_states)),
+        ),
         ("b1-weak", b1_weak),
-        ("b2-language", lambda: same_language(a, meagre_table, meagre_buchi)),
+        ("b2-language", lambda: same_language(a, meagre_table, meagre_buchi, product_budget)),
         ("b2-bound", b2_bound),
     ):
         try:

@@ -16,6 +16,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate, compress
 from typing import Iterator
 
 from .automaton import BuchiSet, DetAutomaton, MullerTable
@@ -171,31 +172,36 @@ def _layered_delta_python(
     first_of: list[int],
     total: int,
 ) -> list[int]:
-    n = a.n_states
+    """The layered table as a flat list, one comprehension or slice per row
+    of a layer.  Per block, the member targets, their in-block ranks (-1
+    once the target leaves the block) and the cells of each rank are found
+    once; every layer below the top is the same template shifted to its
+    row, with the cells of its own rank promoted to the next corner."""
     r = len(a.alphabet)
     delta = a.delta
     flat = [0] * (total * r)
-    for s in range(n):
-        for x in range(r):
-            t = delta[s * r + x]
-            f = first_of[t]
-            flat[s * r + x] = f if f >= 0 else t
+    flat[: len(delta)] = [
+        t if f < 0 else f for t, f in zip(delta, map(first_of.__getitem__, delta))
+    ]
     for bi, members in enumerate(orderings):
         k = len(members)
         off = offsets[bi]
-        for j in range(1, k + 1):
+        targets = [t for z in members for t in delta[z * r : z * r + r]]
+        ranks = [rank0[t] if block_of[t] == bi else -1 for t in targets]
+        cells_of_rank: list[list[int]] = [[] for _ in range(k)]
+        for i, q in enumerate(ranks):
+            if q >= 0:
+                cells_of_rank[q].append(i)
+        pairs = list(zip(ranks, targets))
+        for j in range(1, k):
             row = off + (j - 1) * k
-            for p, z in enumerate(members):
-                idx = row + p
-                for x in range(r):
-                    t = delta[z * r + x]
-                    if block_of[t] != bi or j == k:
-                        out = t
-                    elif rank0[t] == j:
-                        out = off + j * k + j
-                    else:
-                        out = row + rank0[t]
-                    flat[idx * r + x] = out
+            out = [row + q if q >= 0 else t for q, t in pairs]
+            corner = off + j * k + j
+            for i in cells_of_rank[j]:
+                out[i] = corner
+            flat[row * r : (row + k) * r] = out
+        top = off + (k - 1) * k
+        flat[top * r : (top + k) * r] = targets
     return flat
 
 
@@ -242,11 +248,21 @@ def _layered_delta_numpy(
 def _prune_python(flat: list[int], r: int, seeds: list[int]):
     """Reachability over the layered table by one level-order walk from the
     initial state `seeds[0]`.  The other seeds are reachable from it (see
-    `_prune_numpy`), and a walk in Python pays per state, not per level."""
-    kept = sorted(bfs_parents(flat, r, seeds[0]))
-    renumber = {old: new for new, old in enumerate(kept)}
-    new_flat = [renumber[flat[old * r + x]] for old in kept for x in range(r)]
-    return new_flat, kept
+    `_prune_numpy`), and a walk in Python pays per state, not per level.
+
+    The walk's states are marked in `seen`; the kept cells are picked by a
+    mask repeating `seen` once per symbol, and each target is renumbered by
+    the running count of kept states before it."""
+    total = len(flat) // r
+    seen = bytearray(total)
+    for s in bfs_parents(flat, r, seeds[0]):
+        seen[s] = 1
+    kept = array("q", compress(range(total), seen))
+    cells = bytearray(len(flat))
+    for x in range(r):
+        cells[x::r] = seen
+    renumber = list(accumulate(seen, initial=0))
+    return list(map(renumber.__getitem__, compress(flat, cells))), kept
 
 
 def _prune_numpy(flat2d, r: int, seeds: list[int]):

@@ -14,6 +14,9 @@ from omega_baire import (
     serialize_automaton,
 )
 from omega_baire.cli import run as cli_run
+from omega_baire.to_buchi import VECTORIZE_THRESHOLD, buchi_state_bound
+
+from conftest import chain_plus_random
 
 EX1_TEXT = """\
 alphabet a b
@@ -308,14 +311,15 @@ class TestSelftest:
         assert "failures=0" in capsys.readouterr().out
 
     def test_skipped_checks_are_counted(self, capsys):
-        # A zero product budget skips the five product checks on every trial;
+        # A zero product budget skips the four budgeted product checks on
+        # every trial (b1-language's diagonal product is always in budget);
         # the report says so instead of a bare "pass".
         code = cli_run(["selftest", "--trials", "3", "--product-budget", "0"])
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 4
-        assert all(line.endswith(" pass skipped=5") for line in lines[:3])
-        assert lines[3] == "selftest trials=3 failures=0 skipped=15"
+        assert all(line.endswith(" pass skipped=4") for line in lines[:3])
+        assert lines[3] == "selftest trials=3 failures=0 skipped=12"
 
     def test_no_skip_count_without_skips(self, capsys):
         cli_run(["selftest", "--states", "5", "--trials", "5", "--seed", "7"])
@@ -383,6 +387,28 @@ def test_check_member_does_not_import_numpy(tmp_path):
     done = _run_script(script, str(path))
     assert done.returncode == 0, done.stderr
     assert done.stdout == "true\nfalse\n[0, 0] False\n"
+
+
+def test_to_buchi_below_the_kernel_threshold_does_not_import_numpy(tmp_path):
+    """A translation just below `VECTORIZE_THRESHOLD` cells runs the
+    pure-Python kernel, so the CLI does not pay numpy's import."""
+    n = 180
+    a = chain_plus_random(n)
+    t = MullerTable.of(range(n))
+    assert buchi_state_bound(a, t) * 2 < VECTORIZE_THRESHOLD
+    src = tmp_path / "in.aut"
+    src.write_text(serialize_automaton(a, t))
+    out = tmp_path / "out.aut"
+    script = (
+        "import sys\n"
+        "from omega_baire.cli import run\n"
+        "code = run(['to-buchi', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    done = _run_script(script, str(src), str(out))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
+    assert parse_automaton(out.read_text())[0].n_states == 31572
 
 
 def test_internal_error_exit_6(ex1_file, tmp_path):

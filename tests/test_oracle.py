@@ -397,6 +397,17 @@ class TestVerifyBaireWitness:
         assert statuses["symdiff-loops"] == "skip"
         assert report.ok  # skips are not failures
 
+    def test_open_buchi_language_needs_no_product_budget(self, ex2):
+        # b1-language compares E with its Buchi form, which reuses E's
+        # automaton, so its product is E's diagonal and runs at any budget.
+        t = MullerTable.of({1})
+        a1 = build_baire_witness(ex2, t).open_muller[0]
+        assert a1.n_states > 1
+        report = verify_baire_witness(ex2, t, product_budget=1, skip_over_budget=True)
+        statuses = {c.name: c.status for c in report.checks}
+        assert statuses["b1-language"] == "pass"
+        assert statuses["b2-language"] == "skip"
+
     def test_weakness_needs_no_loop_budget(self):
         # {0, 1} is a two-state SCC below the terminal state 2.  Weakness is
         # decided per SCC, so a loop budget that skips the product loop

@@ -24,7 +24,7 @@ from omega_baire import (
 import omega_baire.to_buchi as to_buchi
 from omega_baire.loops import bfs_parents
 from omega_baire.oracle import bounded_lasso_scan, maximal_muller_buchi_equiv
-from conftest import random_automaton, random_lasso
+from conftest import chain_plus_random, random_automaton, random_lasso
 
 
 def scc_table(a: DetAutomaton, rng: random.Random, junk: bool = True) -> MullerTable:
@@ -337,6 +337,14 @@ def block_mixes(draw):
     return a, MullerTable(frozenset(z for z, keep in zip(sccs, chosen) if keep))
 
 
+def walk_reference(flat, r: int, initial: int):
+    """The states one level-order walk from `initial` reaches in the flat
+    table, ascending, and the table restricted to them and renumbered."""
+    reference = sorted(bfs_parents(flat, r, initial))
+    renumber = {old: new for new, old in enumerate(reference)}
+    return reference, [renumber[flat[old * r + x]] for old in reference for x in range(r)]
+
+
 # {0,1} is unreachable from the initial state 2, a one-state self-loop block
 @example((DetAutomaton(("a", "b"), 3, 2, (1, 0, 0, 2, 2, 2)), MullerTable.of({0, 1}, {2})))
 # the same from 0: {0,1} holds the initial state and is not terminal
@@ -362,13 +370,69 @@ def test_seeded_prune_keeps_what_the_initial_state_reaches(instance):
     ):
         tr = muller_to_buchi_maximal(a, t)
     ((flat, seeds, (new_flat, kept)),) = calls
-    reference = sorted(bfs_parents(flat, r, a.initial))
+    reference, expected = walk_reference(flat, r, a.initial)
     assert set(seeds) <= set(reference)
-    renumber = {old: new for new, old in enumerate(reference)}
-    expected = [renumber[flat[old * r + x]] for old in reference for x in range(r)]
     assert list(kept) == reference
     assert new_flat.ravel().tolist() == expected
     assert list(tr.automaton.delta) == expected
+
+
+# the two instances above, pruned and not
+@example((DetAutomaton(("a", "b"), 3, 2, (1, 0, 0, 2, 2, 2)), MullerTable.of({0, 1}, {2})), True)
+@example((DetAutomaton(("a", "b"), 3, 0, (1, 0, 0, 2, 2, 2)), MullerTable.of({0, 1}, {2})), False)
+@given(block_mixes(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_kernels_agree_on_every_block_shape(instance, prune):
+    # The pure-Python and the numpy kernel build the same translation, and
+    # the Python prune keeps exactly what one walk from the initial state
+    # reaches, renumbered in ascending order.
+    a, t = instance
+    r = len(a.alphabet)
+    calls = []
+    real = to_buchi._prune_python
+
+    def spy(flat, r_, seeds):
+        result = real(flat, r_, seeds)
+        calls.append((list(flat), result))
+        return result
+
+    with mock.patch.object(to_buchi, "VECTORIZE_THRESHOLD", math.inf), mock.patch.object(
+        to_buchi, "_prune_python", spy
+    ):
+        py = muller_to_buchi_maximal(a, t, prune=prune)
+    with mock.patch.object(to_buchi, "VECTORIZE_THRESHOLD", 0):
+        np_ = muller_to_buchi_maximal(a, t, prune=prune)
+    assert py.automaton == np_.automaton
+    assert py.accepting == np_.accepting
+    assert py.unpruned_state_count == np_.unpruned_state_count
+    assert dict(py.origin) == dict(np_.origin)
+    if prune:
+        ((flat, (new_flat, kept)),) = calls
+        reference, expected = walk_reference(flat, r, a.initial)
+        assert list(kept) == reference
+        assert new_flat == expected
+    else:
+        assert not calls
+
+
+def test_python_kernel_peak_memory_per_output_state():
+    # The chain-plus-random SCC at n=180: 65,160 cells, just below the
+    # numpy kernel's threshold, 31,572 output states.  The traced peak is
+    # about 181 B per output state, reached when the prune's walk ends: the
+    # unpruned table (about 82 B) and the walk's parent links (about 98 B).
+    n = 180
+    a = chain_plus_random(n)
+    t = MullerTable.of(range(n))
+    analysis = analyze(a)
+    tracemalloc.start()
+    try:
+        tr = muller_to_buchi_maximal(a, t, analysis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.unpruned_state_count * len(a.alphabet) < to_buchi.VECTORIZE_THRESHOLD
+    assert tr.automaton.n_states == 31572
+    assert peak / tr.automaton.n_states < 200
 
 
 def test_translation_peak_memory_per_output_state():
@@ -380,9 +444,7 @@ def test_translation_peak_memory_per_output_state():
     import numpy  # noqa: F401  (imported here so that its import is not traced)
 
     n = 400
-    rng = random.Random(41)
-    delta = [x for s in range(n) for x in ((s + 1) % n, rng.randrange(n))]
-    a = DetAutomaton(alphabet=("a", "b"), n_states=n, initial=0, delta=delta)
+    a = chain_plus_random(n)
     t = MullerTable.of(range(n))
     analysis = analyze(a)
     tracemalloc.start()
