@@ -14,7 +14,8 @@ import operator
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BadStateIndex, UnknownSymbol
 
@@ -46,15 +47,18 @@ def _as_delta(values) -> array:
     return array("q", values)
 
 
-def _delta_bounds(delta: array, from_numpy: bool) -> tuple[int, int]:
-    """Smallest and largest target.  Only a table that came in as a numpy
-    array is scanned through numpy, which is then already imported."""
-    if from_numpy:
+def _delta_bounds(source, delta: array) -> tuple[int, int]:
+    """Smallest and largest target of the table `delta` built from `source`.
+    A list or tuple is scanned as given, since its ints are already boxed
+    where the array's would be boxed one by one; a numpy table is scanned
+    through numpy, which is then already imported."""
+    if _is_ndarray(source):
         import numpy as np
 
         view = np.frombuffer(delta, dtype=np.int64)
         return int(view.min()), int(view.max())
-    return min(delta), max(delta)
+    values = source if isinstance(source, (list, tuple)) else delta
+    return min(values), max(values)
 
 
 def _as_int(value, what: str) -> int:
@@ -86,8 +90,8 @@ class DetAutomaton:
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         object.__setattr__(self, "n_states", _as_int(self.n_states, "n_states"))
         object.__setattr__(self, "initial", _as_int(self.initial, "initial"))
-        from_numpy = _is_ndarray(self.delta)
-        object.__setattr__(self, "delta", _as_delta(self.delta))
+        source = self.delta
+        object.__setattr__(self, "delta", _as_delta(source))
         if len(self.alphabet) < 1:
             raise ValueError("alphabet must contain at least one symbol")
         if len(set(self.alphabet)) != len(self.alphabet):
@@ -104,7 +108,7 @@ class DetAutomaton:
                 f"transition table has {len(self.delta)} entries, "
                 f"expected {self.n_states * len(self.alphabet)}"
             )
-        lo, hi = _delta_bounds(self.delta, from_numpy)
+        lo, hi = _delta_bounds(source, self.delta)
         if lo < 0 or hi >= self.n_states:
             raise BadStateIndex("transition target out of range")
 
@@ -221,31 +225,56 @@ def run(a: DetAutomaton, state: int, word: Word | str) -> int:
     return s
 
 
-def inf_from_state(a: DetAutomaton, state: int, period_indices: Sequence[int]) -> frozenset[int]:
-    """Inf set of the run that starts at `state` and reads the period (given
-    as symbol indices) forever.  Iterates the period map until the anchor
-    state repeats (at most n_states + 1 iterations by pigeonhole); the result
-    is every state visited while reading one period from each anchor on the
-    repeating cycle."""
-    delta = a.delta
+def _cycle_states(a: DetAutomaton, state: int, period_indices: Sequence[int]) -> Iterator[int]:
+    """States reached, in step order, by the run from `state` that reads the
+    period (symbol indices) forever, over one round of its repeating cycle
+    of anchors, the states where a period read begins.
+
+    The run is walked once, keeping every state it reaches in one trace and
+    the trace index of each anchor, until an anchor repeats; the cycle is
+    the trace from that anchor's first index on."""
+    if not period_indices:
+        raise ValueError("period must be nonempty")
+    if not 0 <= state < a.n_states:
+        raise BadStateIndex(f"state {state} out of range")
     r = len(a.alphabet)
+    if min(period_indices) < 0 or max(period_indices) >= r:
+        raise ValueError(f"period symbol index out of range 0..{r - 1}")
+    delta = a.delta
     seen: dict[int, int] = {}
-    anchors: list[int] = []
+    trace: list[int] = []
+    append = trace.append
     s = state
     while s not in seen:
-        seen[s] = len(anchors)
-        anchors.append(s)
+        seen[s] = len(trace)
         for x in period_indices:
             s = delta[s * r + x]
-    cycle = anchors[seen[s] :]
+            append(s)
+    return islice(trace, seen[s], None)
 
-    visited: set[int] = set()
-    for c in cycle:
-        t = c
-        for x in period_indices:
-            t = delta[t * r + x]
-            visited.add(t)
-    return frozenset(visited)
+
+def inf_from_state(a: DetAutomaton, state: int, period_indices: Sequence[int]) -> frozenset[int]:
+    """Inf set of the run that starts at `state` and reads the nonempty
+    period (given as symbol indices) forever: every state visited while
+    reading one period from each anchor on the repeating anchor cycle.
+
+    One walk, one trace entry per step.  The period map is iterated until
+    an anchor repeats, at most n_states + 1 times by pigeonhole, so the time
+    is Θ(anchors·|period|), anchors counting those before the cycle and on
+    it; `inf_set` adds Θ(|prefix|) for the prefix.  Raises `ValueError` on
+    an empty period or a symbol index outside 0..r-1, and `BadStateIndex` on
+    a start state out of range."""
+    return frozenset(_cycle_states(a, state, period_indices))
+
+
+def _lasso_cycle(a: DetAutomaton, w: LassoWord) -> Iterator[int]:
+    """`_cycle_states` of the run over `w` from the initial state."""
+    s = run(a, a.initial, w.prefix)
+    try:
+        period_idx = [a.symbol_index[tok] for tok in w.period]
+    except KeyError as e:
+        raise UnknownSymbol(f"symbol {e.args[0]!r} not in alphabet") from None
+    return _cycle_states(a, s, period_idx)
 
 
 def inf_set(a: DetAutomaton, w: LassoWord) -> frozenset[int]:
@@ -253,12 +282,7 @@ def inf_set(a: DetAutomaton, w: LassoWord) -> frozenset[int]:
 
     The result is always a nonempty loop of the automaton.
     """
-    s = run(a, a.initial, w.prefix)
-    try:
-        period_idx = [a.symbol_index[tok] for tok in w.period]
-    except KeyError as e:
-        raise UnknownSymbol(f"symbol {e.args[0]!r} not in alphabet") from None
-    return inf_from_state(a, s, period_idx)
+    return frozenset(_lasso_cycle(a, w))
 
 
 def accepts_muller(a: DetAutomaton, t: MullerTable, w: LassoWord) -> bool:
@@ -267,5 +291,7 @@ def accepts_muller(a: DetAutomaton, t: MullerTable, w: LassoWord) -> bool:
 
 
 def accepts_buchi(a: DetAutomaton, b: BuchiSet, w: LassoWord) -> bool:
-    """Buchi acceptance: the Inf set of the run meets the accepting set."""
-    return not inf_set(a, w).isdisjoint(b.accepting)
+    """Buchi acceptance: the Inf set of the run meets the accepting set.
+    Tested on the states of the run's cycle as walked, without building the
+    Inf set."""
+    return not b.accepting.isdisjoint(_lasso_cycle(a, w))

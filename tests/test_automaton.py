@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +17,15 @@ from omega_baire import (
     accepts_muller,
     inf_set,
     is_loop,
+    loop_lasso,
+    muller_to_buchi_maximal,
     parse_automaton,
     run,
     serialize_automaton,
     step,
 )
-from conftest import brute_inf_set, random_automaton, random_lasso
+from omega_baire.automaton import inf_from_state
+from conftest import brute_inf_set, chain_plus_random, random_automaton, random_lasso
 
 
 class TestDetAutomaton:
@@ -29,8 +34,10 @@ class TestDetAutomaton:
             DetAutomaton(alphabet=("a",), n_states=2, initial=2, delta=(0, 1))
 
     def test_validation_rejects_bad_target(self):
-        with pytest.raises(BadStateIndex):
-            DetAutomaton(alphabet=("a",), n_states=2, initial=0, delta=(0, 5))
+        for container in (list, tuple, lambda d: array("q", d)):
+            for delta in ((0, 5), (0, 2), (-1, 1)):
+                with pytest.raises(BadStateIndex, match="transition target out of range"):
+                    DetAutomaton(alphabet=("a",), n_states=2, initial=0, delta=container(delta))
 
     def test_validation_rejects_wrong_table_size(self):
         with pytest.raises(ValueError):
@@ -147,6 +154,80 @@ class TestInfSet:
             base = inf_set(a, w)
             assert inf_set(a, LassoWord(w.prefix + w.period, w.period)) == base
             assert inf_set(a, LassoWord(w.prefix, w.period + w.period)) == base
+
+
+def rho_automaton(tail: int, cycle: int) -> DetAutomaton:
+    """One letter: a path of `tail` states into a cycle of `cycle` states."""
+    n = tail + cycle
+    return DetAutomaton(("a",), n, 0, [s + 1 if s + 1 < n else tail for s in range(n)])
+
+
+# (tail, cycle, |prefix|, |period|): 500 anchors on the cycle, each state
+# reached 499 times on it; a prefix ending in the tail, then 4 anchors before
+# the cycle's 300; 100 anchors on the cycle, each state reached once on it.
+LONG_ANCHOR_CYCLES = [(0, 500, 0, 499), (1000, 300, 7, 299), (35, 1000, 3, 10)]
+
+
+class TestLongAnchorCycles:
+    @pytest.mark.parametrize("tail, cycle, u, v", LONG_ANCHOR_CYCLES)
+    def test_inf_set_against_brute_unrolling(self, tail, cycle, u, v):
+        a = rho_automaton(tail, cycle)
+        w = LassoWord("a" * u, "a" * v)
+        assert inf_set(a, w) == brute_inf_set(a, w) == frozenset(range(tail, tail + cycle))
+
+    def test_buchi_against_brute_inf_set(self):
+        # One accepting state at a time: most are no anchor of the run, and
+        # each cycle state is reached once per round of anchors.
+        a = rho_automaton(35, 1000)
+        w = LassoWord("aaa", "a" * 10)
+        inf = brute_inf_set(a, w)
+        for q in range(a.n_states):
+            assert accepts_buchi(a, BuchiSet.of(q), w) == (q in inf)
+
+    def test_buchi_on_covering_lasso_of_layered_translation(self):
+        n = 30
+        a = chain_plus_random(n)
+        tr = muller_to_buchi_maximal(a, MullerTable.of(range(n)))
+        b = tr.automaton
+        w = loop_lasso(a, frozenset(range(n)))
+        inf = brute_inf_set(b, w)
+        assert accepts_buchi(b, tr.accepting, w) == (not inf.isdisjoint(tr.accepting.accepting))
+        assert accepts_buchi(b, tr.accepting, w)
+        for q in range(b.n_states):
+            assert accepts_buchi(b, BuchiSet.of(q), w) == (q in inf)
+
+    def test_buchi_peak_memory_per_walked_step(self):
+        # 100k cycle states read 100 at a time: 1000 anchors, each state
+        # reached once, so the walk takes 100k steps.  The trace holds one
+        # list slot and one int per step, about 41 B; an Inf set built as a
+        # set and then copied to a frozenset takes about 117 B.
+        n, v = 100_000, 100
+        a = rho_automaton(0, n)
+        w = LassoWord("", "a" * v)
+        a.symbol_index  # noqa: B018  (cached before tracing)
+        tracemalloc.start()
+        try:
+            assert accepts_buchi(a, BuchiSet.of(n - 1), w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 64
+
+
+class TestInfFromStateArguments:
+    def test_empty_period_rejected(self, ex1):
+        with pytest.raises(ValueError, match="nonempty"):
+            inf_from_state(ex1, 0, [])
+
+    @pytest.mark.parametrize("state", [-1, 2])
+    def test_start_state_out_of_range(self, ex1, state):
+        with pytest.raises(BadStateIndex):
+            inf_from_state(ex1, state, [0])
+
+    @pytest.mark.parametrize("period", [[0, 2], [-1], [1, 0, 5]])
+    def test_symbol_index_out_of_range(self, ex1, period):
+        with pytest.raises(ValueError, match="symbol index"):
+            inf_from_state(ex1, 0, period)
 
 
 @st.composite
