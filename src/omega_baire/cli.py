@@ -31,8 +31,8 @@ from .errors import (
 )
 from .fileformat import (
     format_lasso,
-    parse_automaton,
     parse_lasso_text,
+    read_automaton,
     serialize_chunks,
 )
 from .loops import DEFAULT_ENUMERATION_BUDGET, analyze, enumerate_loops, is_loop
@@ -56,8 +56,9 @@ EXIT_INTERNAL = 6
 
 
 def _load(path: str) -> tuple[DetAutomaton, MullerTable | BuchiSet]:
-    # Decoded here, so that the raw bytes are freed before the text is split.
-    return parse_automaton(Path(path).read_bytes().decode("utf-8"))
+    # Streamed a block at a time; only a file that is not canonical is
+    # read whole, by the line parser.
+    return read_automaton(path)
 
 
 def _load_muller(path: str) -> tuple[DetAutomaton, MullerTable]:

@@ -22,26 +22,34 @@ comment lines and are ignored when parsing.  Files are written a chunk of
 a few thousand states at a time (`serialize_chunks`), so writing a file
 need not hold the whole text.
 
-Files written here are read by a checked fast path: at the first `trans`
-line after a complete header, the next n*r lines are taken a chunk at a
-time, their targets parsed and range-checked in bulk, and a chunk is kept
-only if rendering those targets gives back exactly its text.  At the first
-chunk that differs, the whole file goes through the line parser instead
-(`_parse_general`), so any other valid file parses to the same result, and
-an invalid one fails with the same error class, message and line.
+Files written here are read by a checked streaming reader
+(`_read_canonical`), which takes the text in blocks (a file is read a
+block of bytes at a time through an incremental UTF-8 decoder) and holds
+no list of lines and no second copy of the text:
+- the four header lines and the `accept` lines go through the line parser;
+- the `trans` block is cut into pieces of whole states, and a piece is
+  kept only if rendering its targets gives back exactly its text; the
+  targets go into one array, which `DetAutomaton` range-checks;
+- the origin-comment tail is accepted as a whole by string tests (ASCII,
+  no line break but newline, every line starting with `#`), unsplit.
+At the first doubt the whole input goes through the line parser instead
+(`_parse_general`), so any other valid file parses to the same result,
+and an invalid one fails with the same error class, message and line.
 """
 
 from __future__ import annotations
 
+import codecs
 from array import array
-from itertools import islice
-from typing import Iterator, Mapping, Sequence
+from pathlib import Path
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .automaton import BuchiSet, DetAutomaton, LassoWord, MullerTable
 from .errors import (
     BadHeader,
     BadStateIndex,
     DuplicateTransition,
+    FormatError,
     MissingTransition,
     UnknownSymbol,
 )
@@ -51,7 +59,14 @@ _HEADER_KEYS = ("alphabet", "states", "initial", "acc-type")
 _RESERVED = frozenset("{},:")  # never in a symbol token (nor whitespace or '#')
 # States per piece of the `trans` block, both when reading and when writing.
 _CHUNK_STATES = 2048
+# Bytes per read of a file, and characters per piece of a comment tail.
+_READ_BYTES = 1 << 17
+# The characters other than "\n" at which `str.splitlines` ends a line of
+# ASCII text (it also ends one at "\x85", "\u2028" and "\u2029").
+_ASCII_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 _LAYERED_COMMENT = "# state %d: layered (%d, %d)\n"
+
+_Parsed = tuple[DetAutomaton, MullerTable | BuchiSet]
 
 
 def _parse_int(token: str, what: str, line: int, exc=BadHeader) -> int:
@@ -88,56 +103,105 @@ def _parse_groups(payload: str, line: int) -> list[frozenset[int]]:
     return groups
 
 
-def parse_automaton(text: str | bytes) -> tuple[DetAutomaton, MullerTable | BuchiSet]:
+def parse_automaton(text: str | bytes) -> _Parsed:
     """Parse an automaton file into its transition structure and acceptance.
 
-    Every error names the offending line; completeness of the transition
-    table is enforced (no implicit sink completion).  A canonical `trans`
-    block is read in bulk and checked against its own re-rendering; any
-    other file goes through `_parse_general` and gets the same result.
+    Every error names the offending line, bytes that are not UTF-8 that
+    of the first bad byte; completeness of the transition table is
+    enforced (no implicit sink completion).  A canonical file is
+    read by `_read_canonical` and checked against its own re-rendering;
+    any other file goes through `_parse_general` and gets the same result.
     """
-    return _parse_lines(_lines_of(text), fast=True)
+    if isinstance(text, str):
+        blocks: Iterator[str] = iter((text,))
+    else:
+        data = memoryview(text)
+        blocks = _decoded(
+            data[i : i + _READ_BYTES] for i in range(0, len(data), _READ_BYTES)
+        )
+    return _read_canonical(blocks) or _parse_general(text)
 
 
-def _parse_general(text: str | bytes) -> tuple[DetAutomaton, MullerTable | BuchiSet]:
+def read_automaton(path: str | Path) -> _Parsed:
+    """`parse_automaton` of the file at `path`, streamed a block at a time;
+    the file is read again, whole, only if `_parse_general` must read it.
+    A pipe or other unseekable file is read whole at once."""
+    with open(path, "rb") as f:
+        if not f.seekable():
+            return parse_automaton(f.read())
+        parsed = _read_canonical(_decoded(iter(lambda: f.read(_READ_BYTES), b"")))
+        if parsed is None:
+            f.seek(0)
+            parsed = _parse_general(f.read())
+    return parsed
+
+
+def _parse_general(text: str | bytes) -> _Parsed:
     """`parse_automaton` with every line taken by the line parser."""
-    return _parse_lines(_lines_of(text), fast=False)
-
-
-def _lines_of(text: str | bytes) -> list[str]:
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    return text.splitlines()
+        text = _decode(text)
+    lines = text.splitlines()
+    parser = _LineParser()
+    for lineno, raw in enumerate(lines, start=1):
+        parser.line(lineno, raw)
+    return parser.result(len(lines) + 1)
 
 
-def _parse_lines(
-    lines: list[str], fast: bool
-) -> tuple[DetAutomaton, MullerTable | BuchiSet]:
-    alphabet: tuple[str, ...] | None = None
-    n_states: int | None = None
-    initial: int | None = None
-    acc_type: str | None = None
-    trans: dict[tuple[int, int], int] = {}
-    block: array | None = None  # the whole table, when read in bulk
-    muller_entries: list[frozenset[int]] = []
-    buchi_states: set[int] = set()
-    header_lines: dict[str, int] = {}
-    symbol_index: dict[str, int] = {}
+def _decode(data: bytes) -> str:
+    """The UTF-8 text of `data`; a `FormatError` names the line of the
+    first byte that is not UTF-8."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # The bytes before e.start decode; the bad byte opens a line if they
+        # end with a line break.
+        line = len((data[: e.start].decode("utf-8") + "x").splitlines())
+        raise FormatError(
+            f"invalid UTF-8 (byte 0x{data[e.start]:02x}: {e.reason})", line
+        ) from None
 
-    numbered = enumerate(lines, start=1)
-    for lineno, raw in numbered:
+
+def _decoded(blocks: Iterable[bytes]) -> Iterator[str]:
+    """The UTF-8 text of `blocks`, a piece per block; a character split
+    between blocks comes out whole in the later piece."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    for block in blocks:
+        yield decoder.decode(block)
+    yield decoder.decode(b"", True)
+
+
+class _LineParser:
+    """Takes a file one line at a time; `result` checks what only the
+    whole file shows and builds the automaton."""
+
+    def __init__(self) -> None:
+        self.alphabet: tuple[str, ...] | None = None
+        self.n_states: int | None = None
+        self.initial: int | None = None
+        self.acc_type: str | None = None
+        self.trans: dict[tuple[int, int], int] = {}
+        self.muller_entries: list[frozenset[int]] = []
+        self.buchi_states: set[int] = set()
+        self.header_lines: dict[str, int] = {}
+        self.symbol_index: dict[str, int] = {}
+
+    def line(self, lineno: int, raw: str) -> str | None:
+        """Take line `lineno`; returns its keyword, or None for a blank or
+        comment line."""
         if raw[:1] == "#":
-            continue
+            return None
         line = raw.split("#", 1)[0]
         tokens = line.split()
         if not tokens:
-            continue
+            return None
         key = tokens[0]
 
         if key in _HEADER_KEYS:
-            if key in header_lines:
-                raise BadHeader(f"duplicate {key} line (first on line {header_lines[key]})", lineno)
-            header_lines[key] = lineno
+            if key in self.header_lines:
+                raise BadHeader(
+                    f"duplicate {key} line (first on line {self.header_lines[key]})", lineno
+                )
+            self.header_lines[key] = lineno
             if key == "alphabet":
                 if len(tokens) < 2:
                     raise BadHeader("alphabet needs at least one symbol", lineno)
@@ -146,38 +210,33 @@ def _parse_lines(
                 for tok in tokens[1:]:
                     if set(tok) & _RESERVED:
                         raise BadHeader(f"invalid symbol token {tok!r}", lineno)
-                alphabet = tuple(tokens[1:])
-                symbol_index = {tok: i for i, tok in enumerate(alphabet)}
+                self.alphabet = tuple(tokens[1:])
+                self.symbol_index = {tok: i for i, tok in enumerate(self.alphabet)}
             elif key == "states":
                 if len(tokens) != 2:
                     raise BadHeader("states line takes exactly one count", lineno)
-                n_states = _parse_int(tokens[1], "state count", lineno)
-                if n_states < 1:
+                self.n_states = _parse_int(tokens[1], "state count", lineno)
+                if self.n_states < 1:
                     raise BadHeader("state count must be at least 1", lineno)
             elif key == "initial":
                 if len(tokens) != 2:
                     raise BadHeader("initial line takes exactly one state", lineno)
-                initial = _parse_int(tokens[1], "initial state", lineno, BadStateIndex)
+                self.initial = _parse_int(tokens[1], "initial state", lineno, BadStateIndex)
             else:
                 if len(tokens) != 2 or tokens[1] not in ("muller", "buchi"):
                     raise BadHeader("acc-type must be 'muller' or 'buchi'", lineno)
-                acc_type = tokens[1]
-            continue
+                self.acc_type = tokens[1]
+            return key
+
+        if key not in ("trans", "accept"):
+            raise BadHeader(f"unknown keyword {key!r}", lineno)
+        missing = [k for k in _HEADER_KEYS if k not in self.header_lines]
+        if missing:
+            raise BadHeader(f"{key} before header line(s): {', '.join(missing)}", lineno)
+        n_states = self.n_states
+        assert n_states is not None
 
         if key == "trans":
-            missing = [k for k in _HEADER_KEYS if k not in header_lines]
-            if missing:
-                raise BadHeader(f"trans before header line(s): {', '.join(missing)}", lineno)
-            assert alphabet is not None and n_states is not None
-            if fast:
-                if block is not None:  # a trans line after the block
-                    return _parse_lines(lines, fast=False)
-                block = _read_block(lines, lineno - 1, alphabet, n_states)
-                if block is None:
-                    return _parse_lines(lines, fast=False)
-                skip = len(block) - 1  # the block's other lines
-                next(islice(numbered, skip, skip), None)
-                continue
             if len(tokens) != 4:
                 raise BadHeader("trans line needs: trans <src> <symbol> <dst>", lineno)
             src = _parse_int(tokens[1], "source state", lineno, BadStateIndex)
@@ -186,91 +245,198 @@ def _parse_lines(
                 raise BadStateIndex(f"source state {src} out of range", lineno)
             if not 0 <= dst < n_states:
                 raise BadStateIndex(f"target state {dst} out of range", lineno)
-            if tokens[2] not in symbol_index:
+            if tokens[2] not in self.symbol_index:
                 raise UnknownSymbol(f"symbol {tokens[2]!r} not in alphabet", lineno)
-            pair = (src, symbol_index[tokens[2]])
-            if pair in trans:
+            pair = (src, self.symbol_index[tokens[2]])
+            if pair in self.trans:
                 raise DuplicateTransition(
                     f"transition for state {src} on {tokens[2]!r} already defined", lineno
                 )
-            trans[pair] = dst
-            continue
-
-        if key == "accept":
-            missing = [k for k in _HEADER_KEYS if k not in header_lines]
-            if missing:
-                raise BadHeader(f"accept before header line(s): {', '.join(missing)}", lineno)
-            assert n_states is not None and acc_type is not None
-            if acc_type == "muller":
-                payload = line.split(None, 1)[1] if len(tokens) > 1 else ""
-                for group in _parse_groups(payload, lineno):
-                    for s in group:
-                        if not 0 <= s < n_states:
-                            raise BadStateIndex(f"accept state {s} out of range", lineno)
-                    muller_entries.append(group)
-            else:
-                for tok in tokens[1:]:
-                    s = _parse_int(tok, "accept state", lineno, BadStateIndex)
+            self.trans[pair] = dst
+        elif self.acc_type == "muller":
+            payload = line.split(None, 1)[1] if len(tokens) > 1 else ""
+            for group in _parse_groups(payload, lineno):
+                for s in group:
                     if not 0 <= s < n_states:
                         raise BadStateIndex(f"accept state {s} out of range", lineno)
-                    buchi_states.add(s)
-            continue
+                self.muller_entries.append(group)
+        else:
+            for tok in tokens[1:]:
+                s = _parse_int(tok, "accept state", lineno, BadStateIndex)
+                if not 0 <= s < n_states:
+                    raise BadStateIndex(f"accept state {s} out of range", lineno)
+                self.buchi_states.add(s)
+        return key
 
-        raise BadHeader(f"unknown keyword {key!r}", lineno)
-
-    eof = len(lines) + 1
-    missing_headers = [k for k in _HEADER_KEYS if k not in header_lines]
-    if missing_headers:
-        raise BadHeader(f"missing header line(s): {', '.join(missing_headers)}", eof)
-    assert alphabet is not None and n_states is not None and initial is not None
-
-    if not 0 <= initial < n_states:
-        raise BadStateIndex(
-            f"initial state {initial} out of range", header_lines["initial"]
+    def result(self, eof: int | None, table: array | None = None) -> _Parsed:
+        """The parsed automaton; `table` is the transition table when it was
+        read in bulk, and `eof` the line number for the errors that the end
+        of the file shows (a missing header or transition)."""
+        missing_headers = [k for k in _HEADER_KEYS if k not in self.header_lines]
+        if missing_headers:
+            raise BadHeader(f"missing header line(s): {', '.join(missing_headers)}", eof)
+        alphabet, n_states, initial = self.alphabet, self.n_states, self.initial
+        assert alphabet is not None and n_states is not None and initial is not None
+        if not 0 <= initial < n_states:
+            raise BadStateIndex(
+                f"initial state {initial} out of range", self.header_lines["initial"]
+            )
+        if table is None:
+            trans = self.trans
+            for s in range(n_states):
+                for x, tok in enumerate(alphabet):
+                    if (s, x) not in trans:
+                        raise MissingTransition(
+                            f"no transition for state {s} on symbol {tok!r}", eof
+                        )
+            table = array(
+                "q", [trans[s, x] for s in range(n_states) for x in range(len(alphabet))]
+            )
+        automaton = DetAutomaton(
+            alphabet=alphabet, n_states=n_states, initial=initial, delta=table
         )
-    if block is None:
-        for s in range(n_states):
-            for x, tok in enumerate(alphabet):
-                if (s, x) not in trans:
-                    raise MissingTransition(
-                        f"no transition for state {s} on symbol {tok!r}", eof
-                    )
-        block = array(
-            "q", [trans[s, x] for s in range(n_states) for x in range(len(alphabet))]
-        )
-    automaton = DetAutomaton(
-        alphabet=alphabet, n_states=n_states, initial=initial, delta=block
-    )
-    if acc_type == "muller":
-        return automaton, MullerTable(frozenset(muller_entries))
-    return automaton, BuchiSet(frozenset(buchi_states))
+        if self.acc_type == "muller":
+            return automaton, MullerTable(frozenset(self.muller_entries))
+        return automaton, BuchiSet(frozenset(self.buchi_states))
 
 
-def _read_block(
-    lines: list[str], start: int, alphabet: tuple[str, ...], n_states: int
-) -> array | None:
-    """The transition table, if `lines[start:]` opens with exactly the
-    canonical `trans` block of `n_states` states; None at the first chunk
-    whose text differs from the rendering of its own targets."""
+class _Cursor:
+    """Text that arrives in blocks, read from the offset `pos` into `buf`;
+    reading further drops the text before `pos`."""
+
+    def __init__(self, blocks: Iterator[str]):
+        self._blocks = blocks
+        self.buf = ""
+        self.pos = 0
+
+    def fill(self, size: int) -> None:
+        """Read blocks until `size` characters follow `pos`, or to the end."""
+        have = len(self.buf) - self.pos
+        if have >= size:
+            return
+        parts = [self.buf[self.pos :]] if have else []
+        for block in self._blocks:
+            parts.append(block)
+            have += len(block)
+            if have >= size:
+                break
+        self.buf = "".join(parts)  # one part is kept as it is, not copied
+        self.pos = 0
+
+    def line(self) -> str | None:
+        """The next line without its newline; None at the end of the text."""
+        end = self.buf.find("\n", self.pos)
+        while end < 0:
+            have = len(self.buf) - self.pos
+            self.fill(2 * have + 1)
+            if len(self.buf) - self.pos == have:  # the text has ended
+                if not have:
+                    return None
+                end = len(self.buf)
+                break
+            end = self.buf.find("\n", self.pos + have)
+        line = self.buf[self.pos : end]
+        self.pos = min(end + 1, len(self.buf))
+        return line
+
+    def rest(self) -> Iterator[str]:
+        """The text after `pos`, in pieces of at most `_READ_BYTES`
+        characters or of a block each."""
+        buf, pos = self.buf, self.pos
+        self.buf, self.pos = "", 0
+        for start in range(pos, len(buf), _READ_BYTES):
+            yield buf[start : start + _READ_BYTES]
+        yield from self._blocks
+
+
+def _read_canonical(blocks: Iterator[str]) -> _Parsed | None:
+    """What `_parse_general` makes of the text in `blocks`, if the text is
+    laid out as `serialize_chunks` writes it: the four header lines, the
+    canonical `trans` block, then `accept` or blank lines and a tail of
+    comment lines.  None at the first doubt, at which the caller parses
+    the whole input with `_parse_general`."""
+    text = _Cursor(blocks)
+    parser = _LineParser()
+    try:
+        for lineno, key in enumerate(_HEADER_KEYS, start=1):
+            line = text.line()
+            if line is None or not _one_line(line) or parser.line(lineno, line) != key:
+                return None
+        assert parser.alphabet is not None and parser.n_states is not None
+        table = _read_trans(text, parser.alphabet, parser.n_states)
+        if table is None:
+            return None
+        lineno = len(_HEADER_KEYS) + len(table)
+        while (line := text.line()) is not None:
+            lineno += 1
+            if not _one_line(line):
+                return None
+            if line[:1] == "#":
+                if not _comments_only(text.rest()):
+                    return None
+                break
+            if parser.line(lineno, line) not in (None, "accept"):
+                return None
+        return parser.result(None, table)
+    except (FormatError, ValueError, OverflowError):
+        # A line the line parser rejects, a target that is not an integer or
+        # not in range (BadStateIndex from DetAutomaton), or bytes that are
+        # not UTF-8 (UnicodeDecodeError is a ValueError).
+        return None
+
+
+def _read_trans(text: _Cursor, alphabet: tuple[str, ...], n_states: int) -> array | None:
+    """The transition table, if the text at the cursor opens with exactly
+    the canonical `trans` block of `n_states` states; None at the first
+    piece of `_CHUNK_STATES` states whose text is not the rendering of its
+    own targets."""
     r = len(alphabet)
     render = _TransRenderer(alphabet)
+    # Characters of the longest line "trans <src> <symbol> <target>\n" but
+    # for its source state.
+    widest = 9 + max(map(len, alphabet)) + len(str(n_states - 1))
     table = array("q")
     for first in range(0, n_states, _CHUNK_STATES):
         stop = min(first + _CHUNK_STATES, n_states)
-        text = "\n".join(lines[start + first * r : start + stop * r]) + "\n"
-        tokens = text.split()
-        if len(tokens) != 4 * r * (stop - first):
+        count = r * (stop - first)
+        size = count * (widest + len(str(stop - 1)))
+        text.fill(size)
+        buf, pos = text.buf, text.pos
+        # A canonical piece lies within `size` characters; its targets are
+        # every fourth of its first 4 * count tokens.
+        targets = list(map(int, buf[pos : pos + size].split()[3 : 4 * count : 4]))
+        if len(targets) != count:
             return None
-        try:
-            targets = list(map(int, tokens[3::4]))
-        except ValueError:
+        piece = render(first, stop, targets)
+        if not buf.startswith(piece, pos):
             return None
-        if min(targets) < 0 or max(targets) >= n_states:
-            return None
-        if render(first, stop, targets) != text:
-            return None
+        text.pos = pos + len(piece)
         table.extend(targets)
     return table
+
+
+def _one_line(line: str) -> bool:
+    """Whether `str.splitlines` keeps `line` as one line."""
+    return "\n".join(line.splitlines()) == line
+
+
+def _comments_only(parts: Iterable[str]) -> bool:
+    """Whether the text of `parts`, which starts at the start of a line,
+    is lines that each begin with `#` and that `str.splitlines` splits
+    where "\\n" does: ASCII with none of `_ASCII_BREAKS`."""
+    line_start = True
+    for part in parts:
+        if not part:
+            continue
+        if not part.isascii() or any(c in part for c in _ASCII_BREAKS):
+            return False
+        if line_start and part[0] != "#":
+            return False
+        line_start = part[-1] == "\n"
+        # Every newline but a last one is followed by '#'.
+        if part.count("\n#") != part.count("\n") - line_start:
+            return False
+    return True
 
 
 class _TransRenderer:

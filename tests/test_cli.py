@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -9,10 +10,13 @@ import omega_baire
 from omega_baire import (
     BuchiSet,
     DetAutomaton,
+    FormatError,
     MullerTable,
+    muller_to_buchi_maximal,
     parse_automaton,
     serialize_automaton,
 )
+from omega_baire.cli import _load as cli_load
 from omega_baire.cli import run as cli_run
 from omega_baire.to_buchi import VECTORIZE_THRESHOLD, buchi_state_bound
 
@@ -101,6 +105,24 @@ class TestAnalyze:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert cli_run(["analyze", str(tmp_path / "nope.aut")]) == 2
+
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        """A byte that is not UTF-8, here in an origin comment past the
+        first read block, is one diagnostic line naming its line, as from
+        `parse_automaton`, and exit 2."""
+        n = 3 * 2048
+        a = DetAutomaton(("a", "b"), n, 0, [t for s in range(n) for t in ((s + 1) % n, s)])
+        lines = serialize_automaton(a, BuchiSet.of(0), {s: s for s in range(n)}).encode().split(b"\n")
+        lines[-3] = lines[-3].replace(b"from", b"fr\xffom")
+        data = b"\n".join(lines)
+        bad = tmp_path / "bad.aut"
+        bad.write_bytes(data)
+        with pytest.raises(FormatError) as exc:
+            parse_automaton(data)
+        assert str(exc.value) == f"line {len(lines) - 2}: invalid UTF-8 (byte 0xff: invalid start byte)"
+        assert cli_run(["check", "member", str(bad), "--word", ":a"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"{exc.value}\n")
 
     def test_budget_exit_3(self, ex1_file):
         assert cli_run(["analyze", str(ex1_file), "--enumerate-loops", "--loop-budget", "1"]) == 3
@@ -387,6 +409,26 @@ def test_check_member_does_not_import_numpy(tmp_path):
     done = _run_script(script, str(path))
     assert done.returncode == 0, done.stderr
     assert done.stdout == "true\nfalse\n[0, 0] False\n"
+
+
+def test_loading_a_file_holds_the_table_not_the_text(tmp_path):
+    """`_load` streams a canonical file: its traced peak is the table's
+    8 bytes a cell plus a working set of one piece, which stays under
+    the size of this 39,486-state file with layered origin comments."""
+    n = 200
+    tr = muller_to_buchi_maximal(chain_plus_random(n), MullerTable.of(range(n)))
+    path = tmp_path / "big.aut"
+    path.write_text(serialize_automaton(tr.automaton, tr.accepting, tr.origin))
+    bound = 8 * len(tr.automaton.delta) + (7 << 18)
+    assert tr.automaton.n_states >= 20000 and bound < path.stat().st_size
+    tracemalloc.start()
+    try:
+        loaded = cli_load(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == (tr.automaton, tr.accepting)
+    assert peak < bound
 
 
 def test_to_buchi_below_the_kernel_threshold_does_not_import_numpy(tmp_path):

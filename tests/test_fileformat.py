@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import tempfile
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +30,12 @@ from omega_baire import (
     serialize_automaton,
 )
 from omega_baire import fileformat, to_buchi
-from omega_baire.fileformat import _CHUNK_STATES, _parse_general, serialize_chunks
+from omega_baire.fileformat import (
+    _CHUNK_STATES,
+    _parse_general,
+    read_automaton,
+    serialize_chunks,
+)
 from omega_baire.to_buchi import LayeredOrigins
 from conftest import random_automaton
 
@@ -279,32 +288,60 @@ def _random_acceptance(rng: random.Random, n: int, kind: str):
     )
 
 
+def _random_origins(rng: random.Random, n: int, kind: str):
+    """Origins of the n states to write as comments: none, a dict of a few
+    of them with values of every kind, or a `LayeredOrigins` of all."""
+    if kind == "dict":
+        values = (
+            lambda: rng.randrange(n),
+            lambda: frozenset(rng.sample(range(n), min(n, rng.randint(0, 2)))),
+            lambda: (rng.randrange(n), rng.randint(0, 3)),
+        )
+        return {s: rng.choice(values)() for s in rng.sample(range(n), rng.randint(1, n))}
+    if kind == "layered":
+        base = rng.randint(1, n)
+        k = max(rng.randint(1, 4), math.isqrt(n - base) + 1)
+        members = [rng.randrange(base) for _ in range(k)]
+        kept = sorted(rng.sample(range(base + k * k), n))
+        return LayeredOrigins(kept, base, [members], [base])
+    return None
+
+
 @st.composite
 def canonical_files(draw):
-    """Canonical text of a random automaton: a few states, or more than one
-    chunk of the bulk reader."""
+    """Canonical text of a random automaton, with or without origin
+    comments: a few states, or more than one chunk of the bulk reader."""
     n = draw(st.integers(1, 12) | st.integers(_CHUNK_STATES + 1, _CHUNK_STATES + 40))
     r = draw(st.integers(1, 3))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     a = random_automaton(rng, n, r)
     acc = _random_acceptance(rng, n, draw(st.sampled_from(["muller", "buchi"])))
-    return a, acc, serialize_automaton(a, acc)
+    origins = _random_origins(rng, n, draw(st.sampled_from(["none", "dict", "layered"])))
+    return a, acc, serialize_automaton(a, acc, origins)
 
+
+# Characters at which `str.splitlines` ends a line, besides "\n".
+_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")
 
 _EDITS = (
     "flip", "swap", "duplicate", "delete", "plus", "zero", "unicode-digit",
     "tab", "crlf", "comment", "trans-after-block", "block-twice", "out-of-range",
+    "trans-after-comments", "accept-after-comments", "break-in-comment",
+    "no-final-newline", "indented-comment",
 )
 
 
 def _edit(text: str, a: DetAutomaton, kind: str, k: int, bit: int) -> str:
     """Apply one edit to the k-th `trans` line, counted from the end of the
-    block when k is negative; `bit` picks among variants of the edit."""
+    block when k is negative, or to the k-th comment line (the last line
+    when there is none); `bit` picks among variants of the edit."""
     lines = text.split("\n")
     first = 4  # the header takes four lines
     block = a.n_states * len(a.alphabet)
     i = first + k % block
     head, _, target = lines[i].rpartition(" ")
+    comments = [j for j, line in enumerate(lines) if line.startswith("#")]
+    c = comments[k % len(comments)] if comments else len(lines) - 2
     if kind == "flip":
         pos = (k + 5 * bit) % len(lines[i])
         flipped = chr(ord(lines[i][pos]) ^ (1 << bit))
@@ -332,9 +369,38 @@ def _edit(text: str, a: DetAutomaton, kind: str, k: int, bit: int) -> str:
         lines.insert(first + block + bit % 2, lines[i] if bit % 3 else "trans 0 zz 0")
     elif kind == "block-twice":
         lines[first + block : first + block] = lines[first : first + block]
+    elif kind == "trans-after-comments":
+        lines.insert(len(lines) - 1 if bit % 2 else c + 1, lines[i] if bit % 3 else "trans 0 zz 0")
+    elif kind == "accept-after-comments":
+        accept = next((line for line in lines if line.startswith("accept")), "accept {0}")
+        lines.insert(len(lines) - 1 if bit % 2 else c + 1, accept if bit % 3 else "accept")
+    elif kind == "break-in-comment":
+        pos = k % (len(lines[c]) + 1)
+        brk = _BREAKS[bit % len(_BREAKS)] + ("#" if k % 2 else "")
+        lines[c] = lines[c][:pos] + brk + lines[c][pos:]
+    elif kind == "no-final-newline":
+        lines.pop()
+    elif kind == "indented-comment":
+        lines[c] = " \t"[bit % 2] + lines[c]
     else:
         lines[i] = f"{head} {a.n_states + bit % 2 if bit % 3 else -1}"
     return "\n".join(lines)
+
+
+def _outcomes(text: str) -> list:
+    """The outcome of each way into the streaming reader: the text, its
+    UTF-8 bytes and a file of them."""
+    data = text.encode("utf-8", "surrogatepass")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edited.aut"
+        path.write_bytes(data)
+        sources = ((parse_automaton, text), (parse_automaton, data), (read_automaton, path))
+        return [_outcome(parse, source) for parse, source in sources]
+
+
+# Bytes per read: a few, so that blocks end inside the header, inside a
+# line and inside a multibyte character, some more, or the default.
+_READ_SIZES = st.integers(1, 7) | st.integers(8, 4096) | st.just(fileformat._READ_BYTES)
 
 
 @given(
@@ -342,34 +408,65 @@ def _edit(text: str, a: DetAutomaton, kind: str, k: int, bit: int) -> str:
     st.sampled_from(_EDITS),
     st.integers(0, 10**6) | st.integers(-3, -1),
     st.integers(0, 6),
+    _READ_SIZES,
 )
 @settings(max_examples=120, deadline=None)
-def test_fast_and_general_parsers_agree(case, kind, k, bit):
+def test_fast_and_general_parsers_agree(case, kind, k, bit, read_bytes):
     a, acc, text = case
     edited = _edit(text, a, kind, k, bit)
-    assert _outcome(parse_automaton, edited) == _outcome(_parse_general, edited)
+    expected = _outcome(_parse_general, edited)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileformat, "_READ_BYTES", read_bytes)
+        assert _outcomes(edited) == [expected] * 3
 
 
-@given(canonical_files())
+@given(canonical_files(), _READ_SIZES)
 @settings(max_examples=30, deadline=None)
-def test_canonical_files_take_the_bulk_reader(case):
+def test_canonical_files_take_the_bulk_reader(case, read_bytes):
+    """A canonical file never falls back to `_parse_general`, and of its
+    lines only the header and the `accept` lines reach the line parser:
+    not the `trans` block, nor the origin comments."""
     a, acc, text = case
-    calls = []
-    real = fileformat._parse_lines
+    keys = []
+    real_line = fileformat._LineParser.line
 
-    def spy(lines, fast):
-        calls.append(fast)
-        return real(lines, fast)
+    def spy(self, lineno, raw):
+        keys.append(real_line(self, lineno, raw))
+        return keys[-1]
 
-    fileformat._parse_lines = spy
-    try:
-        assert parse_automaton(text) == (a, acc)
-    finally:
-        fileformat._parse_lines = real
-    assert calls == [True]
+    def no_fallback(text):
+        raise AssertionError("fell back to the line parser")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileformat._LineParser, "line", spy)
+        mp.setattr(fileformat, "_parse_general", no_fallback)
+        mp.setattr(fileformat, "_READ_BYTES", read_bytes)
+        assert _outcomes(text) == [(a, acc)] * 3
+    accept_lines = len(acc.entries) if isinstance(acc, MullerTable) else 1
+    assert keys == (list(fileformat._HEADER_KEYS) + ["accept"] * accept_lines) * 3
 
 
-def test_mismatch_after_first_chunk_falls_back_once():
+@pytest.mark.parametrize("brk", _BREAKS)
+@pytest.mark.parametrize("read_bytes", [3, fileformat._READ_BYTES])
+def test_line_breaks_in_the_comment_tail(brk, read_bytes):
+    """Each character other than newline at which `str.splitlines` ends a
+    line, in the first, a middle or the last origin comment, followed by
+    a keyword or by '#': the reader agrees with the line parser."""
+    a = random_automaton(random.Random(8), 40, 2)
+    text = serialize_automaton(a, BuchiSet.of(3), LayeredOrigins(range(40), 30, [[1, 2, 3]], [30]))
+    lines = text.split("\n")
+    comments = [i for i, line in enumerate(lines) if line.startswith("#")]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileformat, "_READ_BYTES", read_bytes)
+        for i in (comments[0], comments[len(comments) // 2], comments[-1]):
+            for after in ("#", "accept 5", ""):
+                edited = "\n".join(lines[:i] + [lines[i] + brk + after] + lines[i + 1 :])
+                assert _outcomes(edited) == [_outcome(_parse_general, edited)] * 3
+
+
+def test_mismatch_after_first_chunk_falls_back_once(tmp_path):
+    """A mismatch in the last piece falls back to the line parser exactly
+    once, after every earlier piece was rendered and kept."""
     rng = random.Random(4)
     n = 2 * _CHUNK_STATES + 5
     a = random_automaton(rng, n, 2)
@@ -377,19 +474,70 @@ def test_mismatch_after_first_chunk_falls_back_once():
     last = f"trans {n - 1} b {a.delta[-1]}\n"
     edited = text.replace(last, f"trans {n - 1} b  {a.delta[-1]}\n")
     assert edited != text
+    path = tmp_path / "edited.aut"
+    path.write_text(edited)
     renders = []
+    fallbacks = []
     real_render = fileformat._TransRenderer.__call__
+    real_general = fileformat._parse_general
 
     def counted(self, first, stop, targets):
         renders.append(first)
         return real_render(self, first, stop, targets)
 
-    fileformat._TransRenderer.__call__ = counted
-    try:
-        assert parse_automaton(edited) == (a, BuchiSet.of(0))
-    finally:
-        fileformat._TransRenderer.__call__ = real_render
-    assert renders == [0, _CHUNK_STATES, 2 * _CHUNK_STATES]
+    def general(text):
+        fallbacks.append(text)
+        return real_general(text)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileformat._TransRenderer, "__call__", counted)
+        mp.setattr(fileformat, "_parse_general", general)
+        for source, parse in ((edited, parse_automaton), (path, read_automaton)):
+            renders.clear()
+            fallbacks.clear()
+            assert parse(source) == (a, BuchiSet.of(0))
+            assert renders == [0, _CHUNK_STATES, 2 * _CHUNK_STATES]
+            assert fallbacks == [edited if source is edited else edited.encode()]
+
+
+def test_non_utf8_bytes_name_their_line(tmp_path):
+    """Bytes that are not UTF-8 are a `FormatError` that names the line of
+    the first bad one, the same from bytes and from a file, also when that
+    byte lies past the first read block."""
+    a = random_automaton(random.Random(6), 3 * _CHUNK_STATES, 2)
+    data = serialize_automaton(a, BuchiSet.of(1), {s: s for s in range(a.n_states)}).encode()
+    assert len(data) > 2 * fileformat._READ_BYTES
+    lines = data.split(b"\n")
+    # (index of the line replaced, its new bytes, line number, reason); the
+    # line after a lone "\r" counts as a line of its own.
+    cases = [
+        (len(lines) - 5, b"# state \xff", len(lines) - 4, "byte 0xff: invalid start byte"),
+        (1, b"states 3\r\xe2\x82", 3, "byte 0xe2: invalid continuation byte"),
+        (len(lines) - 1, b"# \xc3", len(lines), "byte 0xc3: unexpected end of data"),
+    ]
+    for index, line, lineno, reason in cases:
+        edited = b"\n".join(lines[:index] + [line] + lines[index + 1 :])
+        path = tmp_path / "bad.aut"
+        path.write_bytes(edited)
+        expected = f"line {lineno}: invalid UTF-8 ({reason})"
+        for parse, source in ((parse_automaton, edited), (read_automaton, path)):
+            with pytest.raises(FormatError) as exc:
+                parse(source)
+            assert type(exc.value) is FormatError
+            assert str(exc.value) == expected
+
+
+def test_unseekable_file_is_read_whole(tmp_path):
+    """A pipe cannot be read twice; a file that is not canonical still
+    parses from one."""
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+    text = "# from a pipe\n" + EX1_TEXT
+    writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+    writer.start()
+    assert read_automaton(path) == parse_automaton(EX1_TEXT)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 _LINE_PIECES = st.sampled_from(
@@ -409,6 +557,9 @@ _LINE_PIECES = st.sampled_from(
 def test_arbitrary_text_raises_only_format_errors(pieces, newline):
     text = newline.join(pieces)
     assert _outcome(parse_automaton, text) == _outcome(_parse_general, text)
+    # A lone surrogate is no UTF-8: its bytes fail to decode.
+    data = text.encode("utf-8", "surrogatepass")
+    assert _outcome(parse_automaton, data) == _outcome(_parse_general, data)
 
 
 def test_reserved_symbol_token_is_a_header_error():
