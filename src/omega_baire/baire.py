@@ -18,6 +18,7 @@ from typing import Mapping
 from .automaton import BuchiSet, DetAutomaton, MullerTable
 from .errors import BadLoop
 from .loops import SccAnalysis, analyze, cyclic_sccs, is_loop
+from .to_buchi import muller_to_buchi_maximal
 
 StateOrigin = Mapping[int, "int | frozenset[int]"]
 
@@ -65,64 +66,39 @@ def build_open_witness(
     """Merge each terminal SCC into one absorbing state; keep the initial
     state as a distinct copy when it lies inside a terminal SCC.
 
-    The table of the result holds one singleton {merged state} for every
-    input entry that equals (as a set) a terminal SCC.  When no entry does,
-    the automaton is still produced with an empty table.
+    `origin` lists the new states: the states outside terminal SCCs in
+    ascending order, the initial copy if any, then one merged state per
+    terminal SCC in id order; `new[s]` renumbers state `s`.  The table holds
+    {merged state} for each entry equal to a terminal SCC, and may be empty.
     """
     if analysis is None:
         analysis = analyze(a)
     t.validate_for(a.n_states)
     r = len(a.alphabet)
-    term_ids = sorted(analysis.terminal)
-    in_term = [-1] * a.n_states
-    for rank, tid in enumerate(term_ids):
-        for s in analysis.sccs[tid]:
-            in_term[s] = rank
-
-    new_of_old: dict[int, int] = {}
-    origin: dict[int, int | frozenset[int]] = {}
-    for s in range(a.n_states):
-        if in_term[s] < 0:
-            new_of_old[s] = len(new_of_old)
-            origin[new_of_old[s]] = s
-    if in_term[a.initial] >= 0:
-        init_new = len(origin)
-        origin[init_new] = a.initial
-    else:
-        init_new = new_of_old[a.initial]
-    merged_of_rank = []
-    for tid in term_ids:
-        idx = len(origin)
-        merged_of_rank.append(idx)
-        origin[idx] = analysis.sccs[tid]
-
-    def image(old_target: int) -> int:
-        rank = in_term[old_target]
-        return merged_of_rank[rank] if rank >= 0 else new_of_old[old_target]
-
-    n_new = len(origin)
-    flat = [0] * (n_new * r)
-    for new, orig in origin.items():
-        if isinstance(orig, frozenset):
-            for x in range(r):
-                flat[new * r + x] = new
+    scc_of, term = analysis.scc_of, analysis.terminal
+    origin: list[int | frozenset[int]] = [s for s in range(a.n_states) if scc_of[s] not in term]
+    if scc_of[a.initial] in term:
+        origin.append(a.initial)
+    origin.extend(analysis.terminal_sccs)
+    new = [0] * a.n_states
+    # A merged SCC comes after the initial copy, so it renumbers its states.
+    for i, o in enumerate(origin):
+        for s in o if isinstance(o, frozenset) else (o,):
+            new[s] = i
+    flat: list[int] = []
+    for i, o in enumerate(origin):
+        if isinstance(o, frozenset):
+            flat += [i] * r
         else:
-            for x in range(r):
-                flat[new * r + x] = image(a.delta[orig * r + x])
-
-    term_set_rank = {analysis.sccs[tid]: rank for rank, tid in enumerate(term_ids)}
-    new_entries = [
-        frozenset({merged_of_rank[term_set_rank[entry]]})
-        for entry in t.entries
-        if entry in term_set_rank
-    ]
+            flat += map(new.__getitem__, a.delta[o * r : o * r + r])
+    entries = [frozenset({new[min(e)]}) for e in t.entries if analysis.is_terminal_set(e)]
     quotient = DetAutomaton(
-        alphabet=a.alphabet, n_states=n_new, initial=init_new, delta=tuple(flat)
+        alphabet=a.alphabet, n_states=len(origin), initial=origin.index(a.initial), delta=flat
     )
     return OpenWitness(
         automaton=quotient,
-        table=MullerTable(frozenset(new_entries)),
-        origin=MappingProxyType(origin),
+        table=MullerTable(frozenset(entries)),
+        origin=MappingProxyType(dict(enumerate(origin))),
     )
 
 
@@ -188,8 +164,6 @@ def build_baire_witness(
     """Assemble all four witness automata for (a, t) from one SCC analysis
     and one open witness; the library, the CLI and the verifier all use this
     bundle."""
-    from .to_buchi import muller_to_buchi_maximal
-
     if analysis is None:
         analysis = analyze(a)
     open_w = build_open_witness(a, t, analysis)

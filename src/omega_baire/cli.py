@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from .automaton import BuchiSet, DetAutomaton, MullerTable
+from .automaton import DetAutomaton, MullerTable
 from .baire import (
     TriState,
     build_baire_witness,
@@ -55,14 +55,8 @@ EXIT_ALPHABET = 5
 EXIT_INTERNAL = 6
 
 
-def _load(path: str) -> tuple[DetAutomaton, MullerTable | BuchiSet]:
-    # Streamed a block at a time; only a file that is not canonical is
-    # read whole, by the line parser.
-    return read_automaton(path)
-
-
 def _load_muller(path: str) -> tuple[DetAutomaton, MullerTable]:
-    a, acc = _load(path)
+    a, acc = read_automaton(path)
     if not isinstance(acc, MullerTable):
         raise PreconditionViolated(f"{path}: expected a Muller automaton")
     return a, acc
@@ -79,7 +73,7 @@ def _fmt_set(z) -> str:
 
 
 def cmd_analyze(args) -> int:
-    a, acc = _load(args.file)
+    a, acc = read_automaton(args.file)
     analysis = analyze(a)
     print(f"alphabet: {' '.join(a.alphabet)}")
     print(f"states: {a.n_states}  initial: {a.initial}")
@@ -190,7 +184,7 @@ def cmd_to_buchi(args) -> int:
 
 def cmd_check(args) -> int:
     if args.mode == "member":
-        a, acc = _load(args.file)
+        a, acc = read_automaton(args.file)
         try:
             w = parse_lasso_text(args.word, a.alphabet)
         except ValueError as e:
@@ -199,8 +193,8 @@ def cmd_check(args) -> int:
         print("true" if accepts(a, acc, w) else "false")
         return EXIT_OK
 
-    aA, accA = _load(args.file)
-    aB, accB = _load(args.other)
+    aA, accA = read_automaton(args.file)
+    aB, accB = read_automaton(args.other)
     verdict = language_subset_oracle(
         aA,
         accA,

@@ -70,10 +70,14 @@ _Parsed = tuple[DetAutomaton, MullerTable | BuchiSet]
 
 
 def _parse_int(token: str, what: str, line: int, exc=BadHeader) -> int:
+    """ASCII digits with an optional leading '-'; `int` alone would also
+    take '+', '_', spaces and non-ASCII digits."""
     try:
-        return int(token, 10)
-    except ValueError:
-        raise exc(f"{what} must be an integer, got {token!r}", line) from None
+        if token.isascii() and token.removeprefix("-").isdigit():
+            return int(token)
+    except ValueError:  # more digits than `int` converts
+        pass
+    raise exc(f"{what} must be an integer, got {token!r}", line)
 
 
 def _parse_groups(payload: str, line: int) -> list[frozenset[int]]:

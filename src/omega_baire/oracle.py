@@ -384,9 +384,12 @@ def bounded_lasso_scan(
     delta = a.delta
     if max_prefix < 0 or max_period < 1:
         return None
-    cost = n * sum(r**j for j in range(1, max_period + 1))
-    if cost > budget:
-        raise SizeGuard(f"lasso scan needs about {cost} steps, budget is {budget}")
+    # The sum stops at the budget: past it, it can grow to thousands of digits.
+    cost = 0
+    for j in range(1, max_period + 1):
+        cost += n * r**j
+        if cost > budget:
+            raise SizeGuard(f"lasso scan needs more than {budget} steps")
 
     starts: dict[int, tuple[str, ...]] = {}
     for t, (s, x) in bfs_parents(delta, r, a.initial, depth=max_prefix).items():

@@ -16,11 +16,11 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from typing import Iterator
 
 from .automaton import BuchiSet, DetAutomaton, MullerTable
-from .errors import PreconditionViolated
+from .errors import PreconditionViolated, SizeGuard
 from .loops import SccAnalysis, analyze, bfs_parents, is_loop
 
 # From this many (state, symbol) cells of the unpruned output on, the
@@ -28,6 +28,12 @@ from .loops import SccAnalysis, analyze, bfs_parents, is_loop
 VECTORIZE_THRESHOLD = 1 << 16
 # Rows the numpy prune renumbers per slice.
 _PRUNE_ROWS = 1 << 12
+# Largest unpruned output, in (state, symbol) cells, that the translation
+# builds.  End to end, `to-buchi` on a 2-letter n=2000 input peaks at 172 MB
+# for 2.6M unpruned states: about 65 B per state, 33 B per cell.  2**26
+# cells (33.5M states at 2 letters, from a random input of about n=7100)
+# then cost about 2**26 * 33 B = 2.2 GB; a larger output raises SizeGuard.
+MAX_TRANSLATION_CELLS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -214,6 +220,9 @@ def _layered_delta_numpy(
     first_of: list[int],
     total: int,
 ):
+    """The layered table as a (total, r) array.  Layers 1..k-1 of a block
+    differ only in their row offset and promoted rank, so one (k-1, k, r)
+    broadcast fills them; the top layer is the member targets."""
     import numpy as np
 
     n = a.n_states
@@ -231,17 +240,12 @@ def _layered_delta_numpy(
         member_targets = delta2d[np.asarray(members, dtype=np.int64)]
         in_block = block_np[member_targets] == bi
         ranks = rank_np[member_targets]
-        for j in range(1, k + 1):
-            row = off + (j - 1) * k
-            if j == k:
-                out = member_targets
-            else:
-                promote = in_block & (ranks == j)
-                keep = in_block & ~promote
-                out = np.where(
-                    promote, off + j * k + j, np.where(keep, row + ranks, member_targets)
-                )
-            flat[row : row + k] = out
+        j = np.arange(1, k, dtype=np.int64).reshape(-1, 1, 1)
+        layers = flat[off : off + (k - 1) * k].reshape(k - 1, k, r)
+        layers[...] = member_targets
+        np.add(off + (j - 1) * k, ranks, out=layers, where=in_block)
+        np.copyto(layers, off + j * k + j, where=in_block & (ranks == j))
+        flat[off + (k - 1) * k : off + k * k] = member_targets
     return flat
 
 
@@ -268,7 +272,11 @@ def _prune_python(flat: list[int], r: int, seeds: list[int]):
 def _prune_numpy(flat2d, r: int, seeds: list[int]):
     """Reachability over the layered table, frontier-vectorized from all
     `seeds` at once.  A level keeps one copy of each state: the position
-    whose stamp survives.
+    whose stamp survives.  A wide level, with at least one target per 16
+    states of the table, instead marks all its targets and reads the new
+    states off the visited mask in one ascending pass; that pass costs at
+    most 16 steps per target, and it avoids the stamp's scattered writes
+    on the levels that hold most of the states.
 
     The seeds are the initial state and the entry corner of every layer,
     `(members[j], j + 1)` for j = 0..k-1 of each block.  Every corner is
@@ -298,6 +306,12 @@ def _prune_numpy(flat2d, r: int, seeds: list[int]):
     stamp = np.empty(total, dtype=np.int64)
     while frontier.size:
         nxt = flat2d.take(frontier, axis=0).ravel()
+        if nxt.size * 16 >= total:
+            before = visited.copy()
+            visited[nxt] = True
+            frontier = np.flatnonzero(visited > before)
+            del before
+            continue
         nxt = nxt[~visited[nxt]]
         if nxt.size > 1:
             positions = np.arange(nxt.size)
@@ -338,7 +352,9 @@ def muller_to_buchi_maximal(
     the top-layer corners, which recur iff the run sweeps a whole block
     forever.  Each block is swept in ascending state order.  The kernel is
     pure Python below `VECTORIZE_THRESHOLD` output cells and numpy from
-    there on; both build the same automaton.
+    there on; both build the same automaton.  An output of more than
+    `MAX_TRANSLATION_CELLS` cells raises SizeGuard before any table is
+    allocated.
     """
     if analysis is None:
         analysis = analyze(a)
@@ -354,6 +370,11 @@ def muller_to_buchi_maximal(
     for members in orderings:
         offsets.append(total)
         total += len(members) ** 2
+    if total * r > MAX_TRANSLATION_CELLS:
+        raise SizeGuard(
+            f"translation needs {total * r} cells ({total} states),"
+            f" limit is {MAX_TRANSLATION_CELLS}"
+        )
 
     block_of = [-1] * n
     rank0 = [-1] * n
@@ -364,10 +385,8 @@ def muller_to_buchi_maximal(
             rank0[z] = p
         first_of[members[0]] = offsets[bi]
 
-    accepting_unpruned = [
-        offsets[bi] + (len(m) - 1) * len(m) + (len(m) - 1)
-        for bi, m in enumerate(orderings)
-    ]
+    # Per block, the entry corner `(members[j], j + 1)` of each layer; the last accepts.
+    corners = [range(off, off + len(m) ** 2, len(m) + 1) for off, m in zip(offsets, orderings)]
 
     if total * r >= VECTORIZE_THRESHOLD:
         layered, prune_reachable = _layered_delta_numpy, _prune_numpy
@@ -376,11 +395,7 @@ def muller_to_buchi_maximal(
     flat_table = layered(a, orderings, offsets, block_of, rank0, first_of, total)
     kept: Sequence[int] = range(total)
     if prune:
-        # the initial state and the entry corner of every layer
-        seeds = [a.initial]
-        for off, members in zip(offsets, orderings):
-            k = len(members)
-            seeds.extend(range(off, off + k * k, k + 1))
+        seeds = [a.initial, *chain.from_iterable(corners)]
         flat_table, kept = prune_reachable(flat_table, r, seeds)
 
     # kept is ascending, so renumbering of the few special states is a
@@ -391,7 +406,7 @@ def muller_to_buchi_maximal(
 
     initial_new = new_index(a.initial)
     assert initial_new is not None
-    accept_new = frozenset(i for i in map(new_index, accepting_unpruned) if i is not None)
+    accept_new = frozenset(i for c in corners if (i := new_index(c[-1])) is not None)
     automaton = DetAutomaton(
         alphabet=a.alphabet,
         n_states=len(kept),

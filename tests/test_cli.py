@@ -16,8 +16,9 @@ from omega_baire import (
     parse_automaton,
     serialize_automaton,
 )
-from omega_baire.cli import _load as cli_load
 from omega_baire.cli import run as cli_run
+from omega_baire.fileformat import read_automaton
+from omega_baire import to_buchi
 from omega_baire.to_buchi import VECTORIZE_THRESHOLD, buchi_state_bound
 
 from conftest import chain_plus_random
@@ -95,6 +96,16 @@ class TestAnalyze:
         assert cli_run(["analyze", str(ex1_file), "--enumerate-loops"]) == 0
         out = capsys.readouterr().out
         assert "loops (3): {0} {1} {0,1}" in out
+
+    def test_enumerate_loops_over_budget_exit_3(self, tmp_path, capsys):
+        # One 15,000-state cycle: 2^15000 subsets, a count of 4516 digits.
+        n = 15000
+        a = DetAutomaton(("a",), n, 0, [(s + 1) % n for s in range(n)])
+        path = tmp_path / "big.aut"
+        path.write_text(serialize_automaton(a, MullerTable.of()))
+        assert cli_run(["analyze", str(path), "--enumerate-loops"]) == 3
+        err = capsys.readouterr().err
+        assert err == "loop enumeration needs more than 1048576 subset checks\n"
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.aut"
@@ -253,6 +264,22 @@ class TestToBuchi:
         assert captured.err == "dropped non-loop entries: {0}\n"
         assert captured.out.startswith("buchi automaton: ")
 
+    def test_oversized_translation_exit_3(self, ex3_file, tmp_path, capsys, monkeypatch):
+        # ex3's translation has 2 + 2^2 states of 2 cells: 12 cells.
+        monkeypatch.setattr(to_buchi, "MAX_TRANSLATION_CELLS", 11)
+        out = tmp_path / "b.aut"
+        assert cli_run(["to-buchi", str(ex3_file), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "translation needs 12 cells (6 states), limit is 11\n"
+        assert captured.out == ""
+        assert not out.exists()
+        outs = [str(tmp_path / name) for name in ("e.aut", "m.aut")]
+        argv = ["baire", str(ex3_file), "--out-open", outs[0], "--out-meagre-complement", outs[1]]
+        assert cli_run(argv + ["--buchi"]) == 3
+        assert not any(map(os.path.exists, outs))
+        monkeypatch.setattr(to_buchi, "MAX_TRANSLATION_CELLS", 12)
+        assert cli_run(["to-buchi", str(ex3_file), "--out", str(out)]) == 0
+
     def test_empty_table_copy(self, tmp_path, capsys):
         src = tmp_path / "e.aut"
         src.write_text(EX1_TEXT.replace("accept {0}\n", ""))
@@ -325,6 +352,12 @@ class TestSelftest:
         captured = capsys.readouterr()
         assert "timing" in captured.err
         assert "timing" not in captured.out
+
+    def test_lasso_bound_past_the_scan_budget_skips(self, capsys):
+        # The scan's step count at period 20000 has thousands of digits.
+        code = cli_run(["selftest", "--trials", "1", "--seed", "1", "--lasso-bound", "20000"])
+        assert code == 0
+        assert " skipped=" in capsys.readouterr().out
 
     def test_large_states_completes_with_skipped_oracles(self, capsys):
         # constructions run at any size; exhaustive checks skip over budget
@@ -412,9 +445,9 @@ def test_check_member_does_not_import_numpy(tmp_path):
 
 
 def test_loading_a_file_holds_the_table_not_the_text(tmp_path):
-    """`_load` streams a canonical file: its traced peak is the table's
-    8 bytes a cell plus a working set of one piece, which stays under
-    the size of this 39,486-state file with layered origin comments."""
+    """`read_automaton`, which the CLI loads files with, streams a canonical
+    file: its traced peak is the table's 8 bytes a cell plus a working set
+    of one piece, which stays under the size of this 39,486-state file with layered origin comments."""
     n = 200
     tr = muller_to_buchi_maximal(chain_plus_random(n), MullerTable.of(range(n)))
     path = tmp_path / "big.aut"
@@ -423,7 +456,7 @@ def test_loading_a_file_holds_the_table_not_the_text(tmp_path):
     assert tr.automaton.n_states >= 20000 and bound < path.stat().st_size
     tracemalloc.start()
     try:
-        loaded = cli_load(str(path))
+        loaded = read_automaton(str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -166,6 +166,28 @@ class TestParse:
         assert acc.accepting == frozenset()
 
 
+@pytest.mark.parametrize(
+    "old, new, line, message",
+    [
+        ("states 2", "states ٢", 2, "state count must be an integer, got '٢'"),
+        ("initial 0", "initial +0", 3, "initial state must be an integer, got '+0'"),
+        ("trans 0 b 1", "trans 0 b １", 6, "target state must be an integer, got '１'"),
+        ("trans 1 b 1", "trans 1 b 0_1", 8, "target state must be an integer, got '0_1'"),
+        ("accept {0}", "accept {٠}", 9, "accept group member must be an integer, got '٠'"),
+        # a negative number is an integer, and out of range
+        ("initial 0", "initial -1", 3, "initial state -1 out of range"),
+        ("trans 0 b 1", "trans 0 b -1", 6, "target state -1 out of range"),
+    ],
+)
+def test_integers_are_ascii_digits_with_an_optional_minus(old, new, line, message):
+    """Python's `int` would read '٢', '+0', '１' and '0_1' as numbers; the
+    file format takes only ASCII digits, with an optional leading '-'."""
+    text = EX1_TEXT.replace(old, new)
+    assert text != EX1_TEXT
+    for outcome in _outcomes(text):
+        assert outcome[1:] == (line, f"line {line}: {message}")
+
+
 class TestSerialize:
     def test_serialize_parse_token_identity_ex2(self):
         a, acc = parse_automaton(EX2_TEXT)

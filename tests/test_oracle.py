@@ -196,6 +196,11 @@ class TestBoundedLassoScan:
         with pytest.raises(SizeGuard):
             bounded_lasso_scan(ex1, lambda z: False, 8, 8, budget=10)
 
+    def test_budget_past_thousands_of_digits(self, ex1):
+        # Summed in full, the step count at period 20000 has 6022 digits.
+        with pytest.raises(SizeGuard, match="needs more than 524288 steps"):
+            bounded_lasso_scan(ex1, lambda z: False, 8, 20000)
+
     def test_empty_domain(self, ex1):
         # No prefix (max_prefix < 0) or no period (max_period < 1): nothing
         # to scan, even for a predicate that every Inf set satisfies.
@@ -337,6 +342,15 @@ class TestRandomInstance:
         a, t = random_instance(RandomSpec(n_states=500, table_entry_count=4, seed=3))
         assert a.n_states == 500
         assert len(t.entries) == 4
+
+    def test_huge_scc_falls_back_to_sccs(self):
+        # The largest SCC has 15,830 states; its subset count has thousands
+        # of digits.  The entry drawn from loops is then a whole SCC.
+        a, t = random_instance(RandomSpec(n_states=20000, seed=1))
+        analysis = analyze(a)
+        assert max(map(len, analysis.sccs)) == 15830
+        assert len(t.entries) == 2
+        assert any(analysis.scc_id_of_set(e) is not None for e in t.entries)
 
     @pytest.mark.parametrize("count", [-1, -2])
     def test_rejects_negative_entry_count(self, count):
@@ -634,7 +648,7 @@ class TestCheckersCatchCorruption:
     def test_verify_catches_broken_translation(self, monkeypatch):
         # Sabotage the layered translation's accepting set inside the
         # pipeline that the verifier checks.
-        import omega_baire.to_buchi as to_buchi_mod
+        import omega_baire.baire as baire_mod
         from omega_baire import muller_to_buchi_maximal as real
         from omega_baire.to_buchi import BuchiTranslation
 
@@ -648,7 +662,7 @@ class TestCheckersCatchCorruption:
                 report=tr.report,
             )
 
-        monkeypatch.setattr(to_buchi_mod, "muller_to_buchi_maximal", sabotaged)
+        monkeypatch.setattr(baire_mod, "muller_to_buchi_maximal", sabotaged)
         ex2 = DetAutomaton(
             alphabet=("a", "b"), n_states=3, initial=0, delta=(1, 2, 1, 1, 2, 2)
         )
