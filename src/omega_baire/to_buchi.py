@@ -28,12 +28,19 @@ from .loops import SccAnalysis, analyze, bfs_parents, is_loop
 VECTORIZE_THRESHOLD = 1 << 16
 # Rows the numpy prune renumbers per slice.
 _PRUNE_ROWS = 1 << 12
+# A prune level with one target per this many table states or more is walked
+# by the visited mask, a narrower one by the stamp.  Over cut-offs 4..64 the
+# numpy translation of random 2-letter n=250/2000 inputs, the bench ladder and
+# chain_plus_random is fastest at 8..32, within 5%; the stamp alone is 9-41%
+# slower, the mask alone up to 11%.
+_WIDE_LEVEL = 16
 # Largest unpruned output, in (state, symbol) cells, that the translation
-# builds.  End to end, `to-buchi` on a 2-letter n=2000 input peaks at 172 MB
-# for 2.6M unpruned states: about 65 B per state, 33 B per cell.  2**26
-# cells (33.5M states at 2 letters, from a random input of about n=7100)
-# then cost about 2**26 * 33 B = 2.2 GB; a larger output raises SizeGuard.
-MAX_TRANSLATION_CELLS = 1 << 26
+# builds.  `to-buchi` peaks at 28-33 B per cell end to end (160 MiB for 2.58M
+# states at n=2000 and 2 letters, 148 MiB for 1.39M at 4 letters); at 35 B,
+# half of an 8 GB machine holds 4 GiB / 35 B = 123M cells: 61M states at 2
+# letters, about n=9800 by quadratic growth (n=8000: 41M states, 2.7 GB).  The
+# other half is headroom for the interpreter, the writer and other processes.
+MAX_TRANSLATION_CELLS = 4 * 2**30 // 35
 
 
 @dataclass(frozen=True)
@@ -272,11 +279,10 @@ def _prune_python(flat: list[int], r: int, seeds: list[int]):
 def _prune_numpy(flat2d, r: int, seeds: list[int]):
     """Reachability over the layered table, frontier-vectorized from all
     `seeds` at once.  A level keeps one copy of each state: the position
-    whose stamp survives.  A wide level, with at least one target per 16
-    states of the table, instead marks all its targets and reads the new
-    states off the visited mask in one ascending pass; that pass costs at
-    most 16 steps per target, and it avoids the stamp's scattered writes
-    on the levels that hold most of the states.
+    whose stamp survives.  A wide level (`_WIDE_LEVEL`) instead marks all
+    its targets and reads the new states off the visited mask, a pass of at
+    most `_WIDE_LEVEL` steps per target without the stamp's scattered
+    writes; a narrow level keeps the stamp, so a deep table stays linear.
 
     The seeds are the initial state and the entry corner of every layer,
     `(members[j], j + 1)` for j = 0..k-1 of each block.  Every corner is
@@ -306,7 +312,7 @@ def _prune_numpy(flat2d, r: int, seeds: list[int]):
     stamp = np.empty(total, dtype=np.int64)
     while frontier.size:
         nxt = flat2d.take(frontier, axis=0).ravel()
-        if nxt.size * 16 >= total:
+        if nxt.size * _WIDE_LEVEL >= total:
             before = visited.copy()
             visited[nxt] = True
             frontier = np.flatnonzero(visited > before)
@@ -319,11 +325,12 @@ def _prune_numpy(flat2d, r: int, seeds: list[int]):
             nxt = nxt[stamp[nxt] == positions]
         visited[nxt] = True
         frontier = nxt
-    del stamp
     kept_np = np.flatnonzero(visited)
     del visited
-    renumber = np.full(total, -1, dtype=np.int64)
-    renumber[kept_np] = np.arange(kept_np.size, dtype=np.int64)
+    # The stamp becomes the renumbering map: the kept rows read only kept states.
+    renumber = stamp
+    del stamp
+    renumber[kept_np] = np.arange(kept_np.size)
     new_flat = np.empty((kept_np.size, r), dtype=np.int64)
     for lo in range(0, kept_np.size, _PRUNE_ROWS):
         rows = kept_np[lo : lo + _PRUNE_ROWS]

@@ -415,6 +415,31 @@ def test_kernels_agree_on_every_block_shape(instance, prune):
         assert not calls
 
 
+@pytest.mark.parametrize("wide_level", [0, to_buchi._WIDE_LEVEL, 1 << 62])
+def test_prune_walks_agree_with_the_reference_walk(wide_level):
+    # The numpy prune walks a wide level by the visited mask and a narrow one
+    # by the stamp.  Cut-off 0 takes the stamp on every level, 1 << 62 the
+    # mask on every level, and the default mixes them on this 3660-state
+    # table; each keeps what one walk from the initial state reaches.
+    a = chain_plus_random(60)
+    calls = []
+    real = to_buchi._prune_numpy
+
+    def spy(flat2d, r_, seeds):
+        result = real(flat2d, r_, seeds)
+        calls.append((flat2d.ravel().tolist(), result))
+        return result
+
+    with mock.patch.object(to_buchi, "VECTORIZE_THRESHOLD", 0), mock.patch.object(
+        to_buchi, "_WIDE_LEVEL", wide_level
+    ), mock.patch.object(to_buchi, "_prune_numpy", spy):
+        muller_to_buchi_maximal(a, MullerTable.of(range(60)))
+    ((flat, (new_flat, kept)),) = calls
+    reference, expected = walk_reference(flat, 2, a.initial)
+    assert list(kept) == reference
+    assert new_flat.ravel().tolist() == expected
+
+
 def test_python_kernel_peak_memory_per_output_state():
     # The chain-plus-random SCC at n=180: 65,160 cells, just below the
     # numpy kernel's threshold, 31,572 output states.  The traced peak is
