@@ -52,37 +52,37 @@ class SccAnalysis:
         return i is not None and i in self.terminal
 
 
-def bfs_parents(
+def level_order(
     delta: Sequence[int],
     r: int,
     start: int,
     allowed: Container[int] | None = None,
-    depth: int | None = None,
-) -> dict[int, tuple[int, int]]:
+) -> Iterator[tuple[int, int, int]]:
     """Level-order walk from `start` over a flat table with `r` symbols.
 
-    Returns the parent links {state: (predecessor, symbol index)} in
-    discovery order, `start` first with (-1, -1).  Successors are taken in
-    symbol order, so each state keeps the lexicographically first of its
-    shortest paths.  Only states in `allowed` are entered, and with `depth`
-    only states at most that many steps from `start`.
+    Yields (state, predecessor, symbol index) in discovery order, `start`
+    first as (start, -1, -1).  Successors are taken in symbol order, so the
+    links lead each state back along the lexicographically first of its
+    shortest paths.  Only states in `allowed` are entered.  Visited states
+    are marked in a bytearray, and a caller that stops early walks no
+    further than it read.
     """
-    parent = {start: (-1, -1)}
+    seen = bytearray(len(delta) // r)
+    seen[start] = 1
+    yield start, -1, -1
     frontier = [start]
-    level = 0
     symbols = range(r)
-    while frontier and (depth is None or level < depth):
-        level += 1
+    while frontier:
         nxt: list[int] = []
         for s in frontier:
             base = s * r
             for x in symbols:
                 t = delta[base + x]
-                if t not in parent and (allowed is None or t in allowed):
-                    parent[t] = (s, x)
+                if not seen[t] and (allowed is None or t in allowed):
+                    seen[t] = 1
                     nxt.append(t)
+                    yield t, s, x
         frontier = nxt
-    return parent
 
 
 def scc_decompose(
@@ -184,7 +184,7 @@ def analyze(a: DetAutomaton) -> SccAnalysis:
         sccs=tuple(comps),
         condensation_edges=frozenset(edges),
         terminal=terminal,
-        reachable=frozenset(bfs_parents(delta, r, a.initial)),
+        reachable=frozenset(s for s, _, _ in level_order(delta, r, a.initial)),
     )
 
 
@@ -264,8 +264,8 @@ def is_loop(
             raise BadStateIndex(f"state {s} out of range")
     if not zs:
         return False
-    if analysis is None:
-        reachable = bfs_parents(a.delta, len(a.alphabet), a.initial)
+    if analysis is None:  # isdisjoint stops the walk at the first state of `z`
+        reachable = (s for s, _, _ in level_order(a.delta, len(a.alphabet), a.initial))
     else:
         reachable = analysis.reachable
     if zs.isdisjoint(reachable):

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable
 
 from .automaton import (
@@ -41,17 +40,17 @@ from .automaton import (
     accepts_muller,
 )
 from .baire import build_baire_witness
-from .errors import AlphabetMismatch, PreconditionViolated, SizeGuard
+from .errors import AlphabetMismatch, BadLoop, PreconditionViolated, SizeGuard
 from .fileformat import format_lasso
 from .loops import (
     DEFAULT_ENUMERATION_BUDGET,
     SccAnalysis,
     analyze,
-    bfs_parents,
     cyclic_sccs,
     enumerate_loops,
     is_loop,
     iter_loops,
+    level_order,
     self_loop_symbol,
 )
 from .to_buchi import buchi_state_bound, check_maximal_loops
@@ -185,11 +184,15 @@ def _bfs_path(
     goal: Callable[[int], bool],
     allowed: frozenset[int] | None = None,
 ) -> tuple[list[str], int]:
-    """Shortest path (symbol list, end state) to the first goal state in BFS
-    order; `allowed` restricts the walk.  Raises if unreachable."""
-    parent = bfs_parents(a.delta, len(a.alphabet), start, allowed)
-    end = next((s for s in parent if goal(s)), None)
-    if end is None:
+    """Shortest path (symbol list, end state) to the first goal state in
+    level order; `allowed` restricts the walk, which stops at the goal, so
+    every other state on the path fails `goal`.  Raises if unreachable."""
+    parent: dict[int, tuple[int, int]] = {}
+    for end, s, x in level_order(a.delta, len(a.alphabet), start, allowed):
+        parent[end] = (s, x)
+        if goal(end):
+            break
+    else:
         raise RuntimeError("goal not reachable")
     symbols: list[str] = []
     cur = end
@@ -202,25 +205,22 @@ def _bfs_path(
 
 def loop_lasso(a: DetAutomaton, z: frozenset[int]) -> LassoWord:
     """A lasso whose run has Inf set exactly `z`: shortest prefix into the
-    loop, then a closed covering walk of the loop."""
+    loop, then a closed covering walk of the loop.  Raises BadLoop when `z`
+    is not a loop."""
+    if not is_loop(a, z):
+        raise BadLoop(f"set {sorted(z)} is not a loop")
     entry_syms, target = _bfs_path(a, a.initial, lambda s: s in z)
     period: list[str] = []
     current = target
     remaining = set(z) - {target}
     while remaining:
-        syms, end = _bfs_path(a, current, lambda s: s in remaining, allowed=z)
-        walk = current
-        for tok in syms:
-            walk = a.delta[walk * len(a.alphabet) + a.symbol_index[tok]]
-            remaining.discard(walk)
+        syms, current = _bfs_path(a, current, lambda s: s in remaining, allowed=z)
+        remaining.discard(current)
         period.extend(syms)
-        current = end
-    if current != target or not period:
-        if current == target:
-            period.append(a.alphabet[self_loop_symbol(a, target)])
-        else:
-            syms, _ = _bfs_path(a, current, lambda s: s == target, allowed=z)
-            period.extend(syms)
+    if not period:  # a one-state loop closes on its self-transition
+        period.append(a.alphabet[self_loop_symbol(a, target)])
+    elif current != target:
+        period.extend(_bfs_path(a, current, lambda s: s == target, allowed=z)[0])
     return LassoWord(tuple(entry_syms), tuple(period))
 
 
@@ -392,7 +392,9 @@ def bounded_lasso_scan(
             raise SizeGuard(f"lasso scan needs more than {budget} steps")
 
     starts: dict[int, tuple[str, ...]] = {}
-    for t, (s, x) in bfs_parents(delta, r, a.initial, depth=max_prefix).items():
+    for t, s, x in level_order(delta, r, a.initial):
+        if s >= 0 and len(starts[s]) >= max_prefix:
+            break  # in level order, every later prefix is at least as long
         starts[t] = () if s < 0 else starts[s] + (a.alphabet[x],)
     start_items = sorted(starts.items())
 
@@ -601,18 +603,15 @@ def verify_baire_witness(
             return "pass", None, ""
         return "fail", None, f"open table differs on {sorted(map(sorted, wrong))}"
 
-    @cache
-    def symdiff_product() -> ProductAutomaton | str:
-        # An over-budget product keeps its message, so both routes skip with it.
-        try:
-            return product(a, a1, budget=product_budget)
-        except SizeGuard as e:
-            return str(e)
+    # One product serves both symdiff routes; over budget, both re-raise it.
+    try:
+        prod1 = product(a, a1, budget=product_budget)
+    except SizeGuard as e:
+        prod1 = e
 
     def symdiff_route() -> tuple[DetAutomaton, Callable[[frozenset[int]], bool]]:
-        prod1 = symdiff_product()
-        if isinstance(prod1, str):
-            raise SizeGuard(prod1)
+        if isinstance(prod1, SizeGuard):
+            raise prod1
         left, right = prod1.left, prod1.right
 
         def in_symdiff(z: frozenset[int]) -> bool:
@@ -656,7 +655,7 @@ def verify_baire_witness(
         # straddles too; so checking those SCCs is exact and polynomial.
         b1, b1_accepting = witness.open_buchi
         acc = b1_accepting.accepting
-        reachable = bfs_parents(b1.delta, len(b1.alphabet), b1.initial)
+        reachable = [s for s, _, _ in level_order(b1.delta, len(b1.alphabet), b1.initial)]
         for comp in cyclic_sccs(b1, reachable):
             if not (comp <= acc or comp.isdisjoint(acc)):
                 return "fail", None, f"straddling loop {sorted(comp)}"

@@ -21,7 +21,7 @@ from typing import Iterator
 
 from .automaton import BuchiSet, DetAutomaton, MullerTable
 from .errors import PreconditionViolated, SizeGuard
-from .loops import SccAnalysis, analyze, bfs_parents, is_loop
+from .loops import SccAnalysis, analyze, is_loop, level_order
 
 # From this many (state, symbol) cells of the unpruned output on, the
 # construction uses the numpy kernel; below it, the pure-Python one.
@@ -266,7 +266,7 @@ def _prune_python(flat: list[int], r: int, seeds: list[int]):
     the running count of kept states before it."""
     total = len(flat) // r
     seen = bytearray(total)
-    for s in bfs_parents(flat, r, seeds[0]):
+    for s, _, _ in level_order(flat, r, seeds[0]):
         seen[s] = 1
     kept = array("q", compress(range(total), seen))
     cells = bytearray(len(flat))

@@ -16,7 +16,7 @@ from omega_baire import (
     iter_loops,
     run,
 )
-from omega_baire.loops import bfs_parents, cyclic_sccs, scc_decompose
+from omega_baire.loops import cyclic_sccs, level_order, scc_decompose
 from conftest import brute_is_loop, lassos_cover_loops, random_automaton
 
 
@@ -134,7 +134,7 @@ class TestSharedWalks:
                 )
                 assert scc_decompose(a, subset) == expected
 
-    def test_bfs_parents_levels_and_paths(self):
+    def test_level_order_levels_and_paths(self):
         rng = random.Random(43)
         for _ in range(60):
             n = rng.randint(1, 9)
@@ -142,7 +142,10 @@ class TestSharedWalks:
             r = len(a.alphabet)
             start = rng.randrange(n)
             allowed = {s for s in range(n) if rng.random() < 0.7}
-            parent = bfs_parents(a.delta, r, start, allowed)
+            walk = list(level_order(a.delta, r, start, allowed))
+            assert walk[0] == (start, -1, -1)
+            parent = {t: (s, x) for t, s, x in walk}
+            assert len(parent) == len(walk)
             assert set(parent) == self._reach_within(a, start, allowed) | {start}
 
             def depth(s):
@@ -155,9 +158,6 @@ class TestSharedWalks:
 
             depths = [depth(s) for s in parent]
             assert depths == sorted(depths)
-            for bound in range(4):
-                limited = bfs_parents(a.delta, r, start, allowed, depth=bound)
-                assert list(limited) == [s for s in parent if depth(s) <= bound]
 
 
 class TestIsLoop:

@@ -5,6 +5,7 @@ import pytest
 
 from omega_baire import (
     AlphabetMismatch,
+    BadLoop,
     BuchiSet,
     DetAutomaton,
     LassoWord,
@@ -105,6 +106,44 @@ class TestLoopLasso:
             for z in enumerate_loops(a):
                 w = loop_lasso(a, z)
                 assert inf_set(a, w) == z
+
+    @pytest.mark.parametrize(
+        "a, z",
+        [
+            # a and b both swap the two states: no self-transition
+            (DetAutomaton(("a", "b"), 2, 0, (1, 1, 0, 0)), {0}),
+            (DetAutomaton(("a", "b"), 2, 0, (1, 1, 0, 0)), set()),
+            # the chain 0 -> 1 -> 2, which loops only at 2
+            (DetAutomaton(("a",), 3, 0, (1, 2, 2)), {0, 1}),
+            (DetAutomaton(("a",), 3, 0, (1, 2, 2)), {0}),
+            # an SCC that the initial state 2 does not reach
+            (DetAutomaton(("a", "b"), 3, 2, (1, 0, 0, 2, 2, 2)), {0, 1}),
+        ],
+    )
+    def test_non_loop_raises_bad_loop(self, a, z):
+        with pytest.raises(BadLoop):
+            loop_lasso(a, frozenset(z))
+
+    def test_covering_lasso_of_a_long_cycle(self, monkeypatch):
+        import omega_baire.loops as loops_mod
+        import omega_baire.oracle as oracle_mod
+
+        n = 2000
+        a = DetAutomaton(("a",), n, 0, tuple((s + 1) % n for s in range(n)))
+        real = loops_mod.level_order
+        yielded = 0
+
+        def counting(*args):
+            nonlocal yielded
+            for step in real(*args):
+                yielded += 1
+                yield step
+
+        monkeypatch.setattr(loops_mod, "level_order", counting)
+        monkeypatch.setattr(oracle_mod, "level_order", counting)
+        assert loop_lasso(a, frozenset(range(n))) == LassoWord((), ("a",) * n)
+        # Each walk stops at its goal: the next state of the cycle.
+        assert yielded <= 3 * n
 
 
 class TestSubsetOracle:
