@@ -232,14 +232,8 @@ def _cycle_states(a: DetAutomaton, state: int, period_indices: Sequence[int]) ->
 
     The run is walked once, keeping every state it reaches in one trace and
     the trace index of each anchor, until an anchor repeats; the cycle is
-    the trace from that anchor's first index on."""
-    if not period_indices:
-        raise ValueError("period must be nonempty")
-    if not 0 <= state < a.n_states:
-        raise BadStateIndex(f"state {state} out of range")
+    the trace from that anchor's first index on.  Callers check the arguments."""
     r = len(a.alphabet)
-    if min(period_indices) < 0 or max(period_indices) >= r:
-        raise ValueError(f"period symbol index out of range 0..{r - 1}")
     delta = a.delta
     seen: dict[int, int] = {}
     trace: list[int] = []
@@ -264,6 +258,13 @@ def inf_from_state(a: DetAutomaton, state: int, period_indices: Sequence[int]) -
     it; `inf_set` adds Θ(|prefix|) for the prefix.  Raises `ValueError` on
     an empty period or a symbol index outside 0..r-1, and `BadStateIndex` on
     a start state out of range."""
+    if not period_indices:
+        raise ValueError("period must be nonempty")
+    if not 0 <= state < a.n_states:
+        raise BadStateIndex(f"state {state} out of range")
+    r = len(a.alphabet)
+    if min(period_indices) < 0 or max(period_indices) >= r:
+        raise ValueError(f"period symbol index out of range 0..{r - 1}")
     return frozenset(_cycle_states(a, state, period_indices))
 
 

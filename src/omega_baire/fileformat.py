@@ -30,8 +30,9 @@ no list of lines and no second copy of the text:
 - the `trans` block is cut into pieces of whole states, and a piece is
   kept only if rendering its targets gives back exactly its text; the
   targets go into one array, which `DetAutomaton` range-checks;
-- the origin-comment tail is accepted as a whole by string tests (ASCII,
-  no line break but newline, every line starting with `#`), unsplit.
+- the origin-comment tail is accepted unsplit if every line starts with `#`;
+- a block with a line break other than newline is doubted, so the lines
+  split at newline are those of `str.splitlines`.
 At the first doubt the whole input goes through the line parser instead
 (`_parse_general`), so any other valid file parses to the same result,
 and an invalid one fails with the same error class, message and line.
@@ -61,9 +62,8 @@ _RESERVED = frozenset("{},:")  # never in a symbol token (nor whitespace or '#')
 _CHUNK_STATES = 2048
 # Bytes per read of a file, and characters per piece of a comment tail.
 _READ_BYTES = 1 << 17
-# The characters other than "\n" at which `str.splitlines` ends a line of
-# ASCII text (it also ends one at "\x85", "\u2028" and "\u2029").
-_ASCII_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+# The characters other than "\n" at which `str.splitlines` ends a line.
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _LAYERED_COMMENT = "# state %d: layered (%d, %d)\n"
 
 _Parsed = tuple[DetAutomaton, MullerTable | BuchiSet]
@@ -359,12 +359,12 @@ def _read_canonical(blocks: Iterator[str]) -> _Parsed | None:
     canonical `trans` block, then `accept` or blank lines and a tail of
     comment lines.  None at the first doubt, at which the caller parses
     the whole input with `_parse_general`."""
-    text = _Cursor(blocks)
+    text = _Cursor(_newline_breaks_only(blocks))
     parser = _LineParser()
     try:
         for lineno, key in enumerate(_HEADER_KEYS, start=1):
             line = text.line()
-            if line is None or not _one_line(line) or parser.line(lineno, line) != key:
+            if line is None or parser.line(lineno, line) != key:
                 return None
         assert parser.alphabet is not None and parser.n_states is not None
         table = _read_trans(text, parser.alphabet, parser.n_states)
@@ -373,8 +373,6 @@ def _read_canonical(blocks: Iterator[str]) -> _Parsed | None:
         lineno = len(_HEADER_KEYS) + len(table)
         while (line := text.line()) is not None:
             lineno += 1
-            if not _one_line(line):
-                return None
             if line[:1] == "#":
                 if not _comments_only(text.rest()):
                     return None
@@ -384,9 +382,19 @@ def _read_canonical(blocks: Iterator[str]) -> _Parsed | None:
         return parser.result(None, table)
     except (FormatError, ValueError, OverflowError):
         # A line the line parser rejects, a target that is not an integer or
-        # not in range (BadStateIndex from DetAutomaton), or bytes that are
-        # not UTF-8 (UnicodeDecodeError is a ValueError).
+        # not in range (BadStateIndex from DetAutomaton), a line break other
+        # than newline, or bytes that are not UTF-8 (a ValueError).
         return None
+
+
+def _newline_breaks_only(blocks: Iterator[str]) -> Iterator[str]:
+    """`blocks`, but a ValueError at the first one that holds a line break
+    other than newline: in text without one, the lines split at "\\n" are
+    the lines of `str.splitlines`."""
+    for block in blocks:
+        if any(c in block for c in _OTHER_BREAKS):
+            raise ValueError("line break other than newline")
+        yield block
 
 
 def _read_trans(text: _Cursor, alphabet: tuple[str, ...], n_states: int) -> array | None:
@@ -419,21 +427,13 @@ def _read_trans(text: _Cursor, alphabet: tuple[str, ...], n_states: int) -> arra
     return table
 
 
-def _one_line(line: str) -> bool:
-    """Whether `str.splitlines` keeps `line` as one line."""
-    return "\n".join(line.splitlines()) == line
-
-
 def _comments_only(parts: Iterable[str]) -> bool:
     """Whether the text of `parts`, which starts at the start of a line,
-    is lines that each begin with `#` and that `str.splitlines` splits
-    where "\\n" does: ASCII with none of `_ASCII_BREAKS`."""
+    is lines that each begin with `#`."""
     line_start = True
     for part in parts:
         if not part:
             continue
-        if not part.isascii() or any(c in part for c in _ASCII_BREAKS):
-            return False
         if line_start and part[0] != "#":
             return False
         line_start = part[-1] == "\n"

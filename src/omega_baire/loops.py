@@ -101,11 +101,9 @@ def scc_decompose(
 
     if allowed is None:
         allowed = range(n)
-        index = [-1] * n
-    else:
-        index = [-2] * n
-        for s in allowed:
-            index[s] = -1
+    index = [-2] * n
+    for s in allowed:
+        index[s] = -1
     low = [0] * n
     on_stack = bytearray(n)
     stack: list[int] = []

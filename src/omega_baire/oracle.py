@@ -179,21 +179,19 @@ def product(
 
 
 def _bfs_path(
-    a: DetAutomaton,
-    start: int,
-    goal: Callable[[int], bool],
-    allowed: frozenset[int] | None = None,
+    a: DetAutomaton, z: frozenset[int], start: int, goal: Callable[[int], bool], inside=True
 ) -> tuple[list[str], int]:
     """Shortest path (symbol list, end state) to the first goal state in
-    level order; `allowed` restricts the walk, which stops at the goal, so
-    every other state on the path fails `goal`.  Raises if unreachable."""
+    level order, inside `z` if `inside`; the walk stops at the goal, so
+    every other state on the path fails `goal`.  For `loop_lasso`, whose
+    walks decide whether `z` is a loop: BadLoop when no goal is in reach."""
     parent: dict[int, tuple[int, int]] = {}
-    for end, s, x in level_order(a.delta, len(a.alphabet), start, allowed):
+    for end, s, x in level_order(a.delta, len(a.alphabet), start, z if inside else None):
         parent[end] = (s, x)
         if goal(end):
             break
     else:
-        raise RuntimeError("goal not reachable")
+        raise BadLoop(f"set {sorted(z)} is not a loop")
     symbols: list[str] = []
     cur = end
     while cur != start:
@@ -205,22 +203,23 @@ def _bfs_path(
 
 def loop_lasso(a: DetAutomaton, z: frozenset[int]) -> LassoWord:
     """A lasso whose run has Inf set exactly `z`: shortest prefix into the
-    loop, then a closed covering walk of the loop.  Raises BadLoop when `z`
-    is not a loop."""
-    if not is_loop(a, z):
-        raise BadLoop(f"set {sorted(z)} is not a loop")
-    entry_syms, target = _bfs_path(a, a.initial, lambda s: s in z)
+    loop, then a closed covering walk of the loop.  The walks raise BadLoop
+    when `z` is not a loop: the entry walk finds no state of `z`, a walk
+    inside `z` misses its goal, or its one state has no self-transition."""
+    entry_syms, target = _bfs_path(a, z, a.initial, z.__contains__, inside=False)
     period: list[str] = []
     current = target
     remaining = set(z) - {target}
     while remaining:
-        syms, current = _bfs_path(a, current, lambda s: s in remaining, allowed=z)
+        syms, current = _bfs_path(a, z, current, remaining.__contains__)
         remaining.discard(current)
         period.extend(syms)
-    if not period:  # a one-state loop closes on its self-transition
-        period.append(a.alphabet[self_loop_symbol(a, target)])
-    elif current != target:
-        period.extend(_bfs_path(a, current, lambda s: s == target, allowed=z)[0])
+    if period:  # the last covering walk ended in `remaining`, not at `target`
+        period.extend(_bfs_path(a, z, current, lambda s: s == target)[0])
+    elif (x := self_loop_symbol(a, target)) is None:
+        raise BadLoop(f"set {sorted(z)} is not a loop")
+    else:  # a one-state loop closes on its self-transition
+        period.append(a.alphabet[x])
     return LassoWord(tuple(entry_syms), tuple(period))
 
 
@@ -264,6 +263,8 @@ def language_subset_oracle(
     Exact but exponential in the product SCC sizes; intended for desk-scale
     instances.  A False verdict carries a verified counterexample lasso.
     """
+    accA.validate_for(aA.n_states)
+    accB.validate_for(aB.n_states)
     prod = product(aA, aB, budget=product_budget)
     predA = _member_pred(accA)
     predB = _member_pred(accB)
@@ -580,7 +581,6 @@ def verify_baire_witness(
     if lasso_bound < 1:
         raise ValueError(f"lasso_bound must be at least 1, got {lasso_bound}")
     analysis = analyze(a)
-    t.validate_for(a.n_states)
     witness = build_baire_witness(a, t, analysis)
     a1, t1 = witness.open_muller
     _, meagre_table = witness.meagre_complement_muller

@@ -486,6 +486,61 @@ def test_line_breaks_in_the_comment_tail(brk, read_bytes):
                 assert _outcomes(edited) == [_outcome(_parse_general, edited)] * 3
 
 
+@pytest.mark.parametrize("read_bytes", [1, 3, fileformat._READ_BYTES])
+@pytest.mark.parametrize("state", [0, 20, 38])
+def test_non_ascii_comment_takes_the_bulk_reader(state, read_bytes):
+    """An origin comment with a non-ASCII letter, first, in the middle or
+    last: the reader keeps to the bulk path, from the text, its bytes and
+    a file, and only the header and `accept` lines reach the line parser."""
+    a = random_automaton(random.Random(8), 40, 2)
+    acc = BuchiSet.of(3)
+    text = serialize_automaton(a, acc, LayeredOrigins(range(40), 30, [[1, 2, 3]], [30]))
+    edited = text.replace(f"# state {state}:", f"# \u00e9tat {state}:")
+    assert edited.count("\u00e9") == 1
+    keys = []
+    real_line = fileformat._LineParser.line
+
+    def spy(self, lineno, raw):
+        keys.append(real_line(self, lineno, raw))
+        return keys[-1]
+
+    def no_fallback(text):
+        raise AssertionError("fell back to the line parser")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileformat._LineParser, "line", spy)
+        mp.setattr(fileformat, "_parse_general", no_fallback)
+        mp.setattr(fileformat, "_READ_BYTES", read_bytes)
+        assert _outcomes(edited) == [(a, acc)] * 3
+    assert keys == (list(fileformat._HEADER_KEYS) + ["accept"]) * 3
+
+
+@pytest.mark.parametrize("after", ["# more", "more", ""])
+@pytest.mark.parametrize("read_bytes", [3, fileformat._READ_BYTES])
+def test_line_break_in_a_header_comment_falls_back_once(after, read_bytes):
+    """A U+2028 in a comment on a header line ends that line for
+    `str.splitlines`: each way into the reader falls back to the line
+    parser once and agrees with it."""
+    a = random_automaton(random.Random(8), 40, 2)
+    lines = serialize_automaton(a, BuchiSet.of(3)).split("\n")
+    real_general = fileformat._parse_general
+    fallbacks = []
+
+    def general(text):
+        fallbacks.append(text)
+        return real_general(text)
+
+    for i in range(len(fileformat._HEADER_KEYS)):
+        edited = "\n".join(lines[:i] + [lines[i] + " # note\u2028" + after] + lines[i + 1 :])
+        expected = _outcome(real_general, edited)
+        fallbacks.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fileformat, "_parse_general", general)
+            mp.setattr(fileformat, "_READ_BYTES", read_bytes)
+            assert _outcomes(edited) == [expected] * 3
+        assert len(fallbacks) == 3
+
+
 def test_mismatch_after_first_chunk_falls_back_once(tmp_path):
     """A mismatch in the last piece falls back to the line parser exactly
     once, after every earlier piece was rendered and kept."""

@@ -6,6 +6,7 @@ import pytest
 from omega_baire import (
     AlphabetMismatch,
     BadLoop,
+    BadStateIndex,
     BuchiSet,
     DetAutomaton,
     LassoWord,
@@ -98,6 +99,25 @@ class TestProduct:
             product(one, one, budget=0)
 
 
+def _count_walked_states(monkeypatch) -> list[int]:
+    """Patch `level_order` in `loops` and `oracle` to count the states
+    that the walks yield; the count is the list's one item."""
+    import omega_baire.loops as loops_mod
+    import omega_baire.oracle as oracle_mod
+
+    real = loops_mod.level_order
+    yielded = [0]
+
+    def counting(*args):
+        for step in real(*args):
+            yielded[0] += 1
+            yield step
+
+    monkeypatch.setattr(loops_mod, "level_order", counting)
+    monkeypatch.setattr(oracle_mod, "level_order", counting)
+    return yielded
+
+
 class TestLoopLasso:
     def test_realizes_every_loop(self):
         rng = random.Random(3)
@@ -124,26 +144,31 @@ class TestLoopLasso:
         with pytest.raises(BadLoop):
             loop_lasso(a, frozenset(z))
 
-    def test_covering_lasso_of_a_long_cycle(self, monkeypatch):
-        import omega_baire.loops as loops_mod
-        import omega_baire.oracle as oracle_mod
+    def test_state_out_of_range_is_not_a_loop(self, ex1):
+        for z in ({0, 1, 5}, {5}, {-1}):
+            with pytest.raises(BadLoop) as exc:
+                loop_lasso(ex1, frozenset(z))
+            assert str(exc.value) == f"set {sorted(z)} is not a loop"
 
+    def test_covering_lasso_of_a_long_cycle(self, monkeypatch):
         n = 2000
         a = DetAutomaton(("a",), n, 0, tuple((s + 1) % n for s in range(n)))
-        real = loops_mod.level_order
-        yielded = 0
-
-        def counting(*args):
-            nonlocal yielded
-            for step in real(*args):
-                yielded += 1
-                yield step
-
-        monkeypatch.setattr(loops_mod, "level_order", counting)
-        monkeypatch.setattr(oracle_mod, "level_order", counting)
+        yielded = _count_walked_states(monkeypatch)
         assert loop_lasso(a, frozenset(range(n))) == LassoWord((), ("a",) * n)
         # Each walk stops at its goal: the next state of the cycle.
-        assert yielded <= 3 * n
+        assert yielded[0] <= 3 * n
+
+    def test_long_prefix_is_walked_once(self, monkeypatch):
+        """The entry walk is the only walk along the chain into the loop:
+        checking that the set is a loop takes no walk of its own."""
+        chain, cycle = 2000, 50
+        n = chain + cycle
+        a = DetAutomaton(("a",), n, 0, tuple(s + 1 if s < n - 1 else chain for s in range(n)))
+        yielded = _count_walked_states(monkeypatch)
+        assert loop_lasso(a, frozenset(range(chain, n))) == LassoWord(
+            ("a",) * chain, ("a",) * cycle
+        )
+        assert yielded[0] <= chain + 3 * cycle
 
 
 class TestSubsetOracle:
@@ -165,6 +190,22 @@ class TestSubsetOracle:
         assert language_subset_oracle(ex2, BuchiSet.of(1), ex2, MullerTable.of({1})).holds
         verdict = language_subset_oracle(ex2, BuchiSet.of(1, 2), ex2, MullerTable.of({1}))
         assert not verdict.holds
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (MullerTable.of({7}), "table entry state 7 out of range"),
+            (BuchiSet.of(9), "accepting state 9 out of range"),
+        ],
+        ids=["muller", "buchi"],
+    )
+    def test_acceptance_out_of_range(self, side, bad, message):
+        a = DetAutomaton(("a", "b"), 2, 0, (1, 0, 0, 1))
+        good = MullerTable.of({0, 1})
+        args = (a, bad, a, good) if side == "left" else (a, good, a, bad)
+        with pytest.raises(BadStateIndex, match=message):
+            language_subset_oracle(*args)
 
     def test_entrywise_inclusion_matches_product_oracle(self):
         # Entry-wise table inclusion agrees with the product-loop oracle on a
@@ -435,6 +476,10 @@ class TestVerifyBaireWitness:
     def test_ex2_and_ex3(self, ex2, ex3):
         assert verify_baire_witness(ex2, MullerTable.of({1})).ok
         assert verify_baire_witness(ex3, MullerTable.of({0, 1})).ok
+
+    def test_table_out_of_range(self, ex1):
+        with pytest.raises(BadStateIndex, match="table entry state 7 out of range"):
+            verify_baire_witness(ex1, MullerTable.of({0}, {7}))
 
     def test_render_format(self, ex2):
         report = verify_baire_witness(ex2, MullerTable.of({1}))
