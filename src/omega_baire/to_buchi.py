@@ -26,7 +26,7 @@ from .loops import SccAnalysis, analyze, is_loop, level_order
 # From this many (state, symbol) cells of the unpruned output on, the
 # construction uses the numpy kernel; below it, the pure-Python one.
 VECTORIZE_THRESHOLD = 1 << 16
-# Rows the numpy prune renumbers per slice.
+# Rows of the layered table the numpy prune renumbers per slice.
 _PRUNE_ROWS = 1 << 12
 # A prune level with one target per this many table states or more is walked
 # by the visited mask, a narrower one by the stamp.  Over cut-offs 4..64 the
@@ -300,9 +300,14 @@ def _prune_numpy(flat2d, r: int, seeds: list[int]):
     so they go in unsorted.
 
     Row gathers use `take`, which is much faster than fancy indexing on a
-    two-column table.  Each full-size work array is dropped once done, and
-    the renumbered table is filled a slice of rows at a time, so the peak
-    holds the two tables, the kept states and the renumbering map."""
+    two-column table.  The stamp's memory becomes the renumbering map, the
+    running count of kept states.  The renumbered table and the kept states
+    are written a slice of rows at a time straight into the int64 arrays
+    that the automaton and its origins keep, so nothing is copied after the
+    walk and the peak holds the two tables, the kept states, the map and
+    the visited mask.  Each large block the heap does not have to place is
+    one less way for the peak resident size of a process that translates
+    again and again to depend on where the allocator put the last ones."""
     import numpy as np
 
     total = len(flat2d)
@@ -325,20 +330,23 @@ def _prune_numpy(flat2d, r: int, seeds: list[int]):
             nxt = nxt[stamp[nxt] == positions]
         visited[nxt] = True
         frontier = nxt
-    kept_np = np.flatnonzero(visited)
-    del visited
-    # The stamp becomes the renumbering map: the kept rows read only kept states.
-    renumber = stamp
+    renumber = np.cumsum(visited, dtype=np.int64, out=stamp)
     del stamp
-    renumber[kept_np] = np.arange(kept_np.size)
-    new_flat = np.empty((kept_np.size, r), dtype=np.int64)
-    for lo in range(0, kept_np.size, _PRUNE_ROWS):
-        rows = kept_np[lo : lo + _PRUNE_ROWS]
-        new_flat[lo : lo + rows.size] = renumber.take(flat2d.take(rows, axis=0))
-    del renumber
-    kept = array("q")
-    kept.frombytes(memoryview(kept_np.astype(np.int64, copy=False)).cast("B"))
-    return new_flat, kept
+    size = int(renumber[-1])
+    renumber -= 1
+    table = array("q", [0]) * (size * r)
+    kept = array("q", [0]) * size
+    table_np = np.frombuffer(table, dtype=np.int64).reshape(size, r)
+    kept_np = np.frombuffer(kept, dtype=np.int64)
+    at = 0
+    for lo in range(0, total, _PRUNE_ROWS):
+        rows = np.flatnonzero(visited[lo : lo + _PRUNE_ROWS])
+        rows += lo
+        hi = at + rows.size
+        kept_np[at:hi] = rows
+        table_np[at:hi] = renumber.take(flat2d.take(rows, axis=0))
+        at = hi
+    return table, kept
 
 
 def muller_to_buchi_maximal(

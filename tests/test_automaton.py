@@ -24,6 +24,7 @@ from omega_baire import (
     serialize_automaton,
     step,
 )
+from omega_baire import automaton
 from omega_baire.automaton import inf_from_state
 from conftest import brute_inf_set, chain_plus_random, random_automaton, random_lasso
 
@@ -38,6 +39,18 @@ class TestDetAutomaton:
             for delta in ((0, 5), (0, 2), (-1, 1)):
                 with pytest.raises(BadStateIndex, match="transition target out of range"):
                     DetAutomaton(alphabet=("a",), n_states=2, initial=0, delta=container(delta))
+
+    def test_validation_rejects_bad_target_in_a_large_table(self):
+        # From _NUMPY_SCAN_CELLS cells on, the bounds are read through numpy
+        # once it is imported.
+        pytest.importorskip("numpy")
+        n = automaton._NUMPY_SCAN_CELLS
+        for container in (list, lambda d: array("q", d)):
+            for bad in (n, -1):
+                delta = [0] * n
+                delta[n // 2] = bad
+                with pytest.raises(BadStateIndex, match="transition target out of range"):
+                    DetAutomaton(alphabet=("a",), n_states=n, initial=0, delta=container(delta))
 
     def test_validation_rejects_wrong_table_size(self):
         with pytest.raises(ValueError):
