@@ -254,7 +254,10 @@ def is_loop(
     """Whether `z` is realizable as the Inf set of some run.
 
     True iff `z` is nonempty, reachable from the initial state, and carries a
-    closed walk inside `z` visiting all of `z`.
+    closed walk inside `z` visiting all of `z`.  Given an analysis, a set
+    equal to an SCC is decided in linear time: it is a loop iff it has more
+    than one state or a self-transition.  Any other set is tested by
+    bitmask closures, which take Θ(|z|²) bits.
     """
     zs = frozenset(z)
     for s in zs:
@@ -268,6 +271,8 @@ def is_loop(
         reachable = analysis.reachable
     if zs.isdisjoint(reachable):
         return False
+    if analysis is not None and analysis.scc_id_of_set(zs) is not None:
+        return len(zs) > 1 or self_loop_symbol(a, min(zs)) is not None
     members = sorted(zs)
     succ, pred = _local_masks(a, members)
     return _strongly_connected(succ, pred, (1 << len(members)) - 1)

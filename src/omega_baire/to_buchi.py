@@ -6,6 +6,13 @@ stack of sweep layers that advance only when the run visits the block's
 states in a fixed order, so the top layer recurs exactly when the run visits
 the whole block infinitely often.  Layer 0 tracks the original automaton.
 
+The table is built by one of two kernels that build the same automaton: a
+numpy one and a pure-Python one.  `_numpy_kernel` picks numpy from
+`VECTORIZE_THRESHOLD` output cells on, importing it if need be, and from
+the much smaller `automaton.numpy_if_loaded` crossover on once numpy is
+already imported; below both, Python.  So a process that has not loaded
+numpy, such as the CLI, pays its import only for a large translation.
+
 Tables with non-maximal loop entries are rejected; entries that are not
 loops at all cannot change the language and are dropped with a diagnostic.
 """
@@ -19,12 +26,14 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress
 from typing import Iterator
 
-from .automaton import BuchiSet, DetAutomaton, MullerTable
+from .automaton import BuchiSet, DetAutomaton, MullerTable, numpy_if_loaded
 from .errors import PreconditionViolated, SizeGuard
 from .loops import SccAnalysis, analyze, is_loop, level_order
 
 # From this many (state, symbol) cells of the unpruned output on, the
-# construction uses the numpy kernel; below it, the pure-Python one.
+# construction uses the numpy kernel even if that imports numpy, whose
+# import costs 150-190 ms; below it, only if numpy is already imported and
+# the output reaches `numpy_if_loaded`'s crossover (see `_numpy_kernel`).
 VECTORIZE_THRESHOLD = 1 << 16
 # Rows of the layered table the numpy prune renumbers per slice.
 _PRUNE_ROWS = 1 << 12
@@ -349,6 +358,13 @@ def _prune_numpy(flat2d, r: int, seeds: list[int]):
     return table, kept
 
 
+def _numpy_kernel(cells: int) -> bool:
+    """Whether a translation of `cells` unpruned output cells runs the
+    numpy kernel, by the rule in the module docstring.  The one place the
+    kernel is chosen, so that a test can pin it."""
+    return cells >= VECTORIZE_THRESHOLD or numpy_if_loaded(cells) is not None
+
+
 def muller_to_buchi_maximal(
     a: DetAutomaton,
     t: MullerTable,
@@ -366,8 +382,9 @@ def muller_to_buchi_maximal(
     resets to layer 0, everything else keeps the layer.  Accepting states are
     the top-layer corners, which recur iff the run sweeps a whole block
     forever.  Each block is swept in ascending state order.  The kernel is
-    pure Python below `VECTORIZE_THRESHOLD` output cells and numpy from
-    there on; both build the same automaton.  An output of more than
+    numpy from `VECTORIZE_THRESHOLD` output cells on, and from the smaller
+    `numpy_if_loaded` crossover on when numpy is already imported; pure
+    Python otherwise.  Both build the same automaton.  An output of more than
     `MAX_TRANSLATION_CELLS` cells raises SizeGuard before any table is
     allocated.
     """
@@ -403,7 +420,7 @@ def muller_to_buchi_maximal(
     # Per block, the entry corner `(members[j], j + 1)` of each layer; the last accepts.
     corners = [range(off, off + len(m) ** 2, len(m) + 1) for off, m in zip(offsets, orderings)]
 
-    if total * r >= VECTORIZE_THRESHOLD:
+    if _numpy_kernel(total * r):
         layered, prune_reachable = _layered_delta_numpy, _prune_numpy
     else:
         layered, prune_reachable = _layered_delta_python, _prune_python

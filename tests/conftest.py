@@ -9,17 +9,26 @@ from __future__ import annotations
 
 import os
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import settings
 
 from omega_baire import DetAutomaton, LassoWord, MullerTable
+import omega_baire.to_buchi as to_buchi
 
 # `HYPOTHESIS_PROFILE=ci` makes every property test draw the same examples
 # on every run, so that a failure seen in CI reproduces exactly.
 settings.register_profile("ci", derandomize=True, deadline=None)
 if os.environ.get("HYPOTHESIS_PROFILE"):
     settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
+
+
+def pinned_kernel(use_numpy: bool):
+    """A context that pins the translation kernel through its one choice
+    point, `to_buchi._numpy_kernel`: numpy if `use_numpy`, else pure Python,
+    whatever the output's size and whether numpy is imported."""
+    return mock.patch.object(to_buchi, "_numpy_kernel", lambda cells: use_numpy)
 
 
 def make_ex1() -> DetAutomaton:

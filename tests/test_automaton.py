@@ -41,10 +41,10 @@ class TestDetAutomaton:
                     DetAutomaton(alphabet=("a",), n_states=2, initial=0, delta=container(delta))
 
     def test_validation_rejects_bad_target_in_a_large_table(self):
-        # From _NUMPY_SCAN_CELLS cells on, the bounds are read through numpy
+        # From _NUMPY_CELLS cells on, the bounds are read through numpy
         # once it is imported.
         pytest.importorskip("numpy")
-        n = automaton._NUMPY_SCAN_CELLS
+        n = automaton._NUMPY_CELLS
         for container in (list, lambda d: array("q", d)):
             for bad in (n, -1):
                 delta = [0] * n

@@ -280,6 +280,23 @@ class TestToBuchi:
         monkeypatch.setattr(to_buchi, "MAX_TRANSLATION_CELLS", 12)
         assert cli_run(["to-buchi", str(ex3_file), "--out", str(out)]) == 0
 
+    def test_whole_scc_cycle_exit_3(self, tmp_path, capsys):
+        # A one-letter 30,000-cycle whose table is the cycle: its 9e8-cell
+        # translation is refused, after a loop test linear in the cycle.
+        k = 30000
+        a = DetAutomaton(alphabet=("a",), n_states=k, initial=0, delta=[(s + 1) % k for s in range(k)])
+        src = tmp_path / "cycle.aut"
+        src.write_text(serialize_automaton(a, MullerTable.of(range(k))))
+        out = tmp_path / "b.aut"
+        assert cli_run(["to-buchi", str(src), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"translation needs {k + k * k} cells ({k + k * k} states),"
+            f" limit is {to_buchi.MAX_TRANSLATION_CELLS}\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_empty_table_copy(self, tmp_path, capsys):
         src = tmp_path / "e.aut"
         src.write_text(EX1_TEXT.replace("accept {0}\n", ""))

@@ -29,7 +29,7 @@ from omega_baire import (
     parse_lasso_text,
     serialize_automaton,
 )
-from omega_baire import fileformat, to_buchi
+from omega_baire import fileformat
 from omega_baire.fileformat import (
     _CHUNK_STATES,
     _parse_general,
@@ -37,7 +37,7 @@ from omega_baire.fileformat import (
     serialize_chunks,
 )
 from omega_baire.to_buchi import LayeredOrigins
-from conftest import random_automaton
+from conftest import pinned_kernel, random_automaton
 
 EX1_TEXT = """\
 alphabet a b
@@ -697,9 +697,8 @@ def _translations(rng: random.Random, n: int):
     kernel and with and without pruning."""
     a, t = build_meagre_complement(random_automaton(rng, n, rng.randint(1, 3)))
     for prune in (True, False):
-        for threshold in (math.inf, 0):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(to_buchi, "VECTORIZE_THRESHOLD", threshold)
+        for use_numpy in (False, True):
+            with pinned_kernel(use_numpy):
                 tr = muller_to_buchi_maximal(a, t, prune=prune)
             yield tr
 

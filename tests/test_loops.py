@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +17,7 @@ from omega_baire import (
     iter_loops,
     run,
 )
+from omega_baire import loops
 from omega_baire.loops import cyclic_sccs, level_order, scc_decompose
 from conftest import brute_is_loop, lassos_cover_loops, random_automaton
 
@@ -185,6 +187,25 @@ class TestIsLoop:
             for mask in range(1 << n):
                 z = frozenset(s for s in range(n) if mask >> s & 1)
                 assert is_loop(a, z) == brute_is_loop(a, z), (a, sorted(z))
+
+    def test_scc_entries_skip_the_bitmask_test(self):
+        # Given an analysis, a set equal to an SCC is decided by its size
+        # and self-transition, without local masks; any other set, and any
+        # call without an analysis, takes the bitmask test.  All agree.
+        rng = random.Random(43)
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            a = random_automaton(rng, n, rng.randint(1, 2))
+            an = analyze(a)
+            others = {frozenset(s for s in range(n) if rng.random() < 0.5) for _ in range(12)}
+            for z in [*an.sccs, *others]:
+                expected = brute_is_loop(a, z)
+                assert is_loop(a, z) == expected, (a, sorted(z))
+                if an.scc_id_of_set(z) is None:
+                    assert is_loop(a, z, an) == expected, (a, sorted(z))
+                    continue
+                with mock.patch.object(loops, "_local_masks", side_effect=AssertionError):
+                    assert is_loop(a, z, an) == expected, (a, sorted(z))
 
 
 class TestEnumerateLoops:

@@ -1,5 +1,5 @@
-import math
 import random
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -24,7 +24,7 @@ from omega_baire import (
 import omega_baire.to_buchi as to_buchi
 from omega_baire.loops import level_order
 from omega_baire.oracle import bounded_lasso_scan, maximal_muller_buchi_equiv
-from conftest import chain_plus_random, random_automaton, random_lasso
+from conftest import chain_plus_random, pinned_kernel, random_automaton, random_lasso
 
 
 def scc_table(a: DetAutomaton, rng: random.Random, junk: bool = True) -> MullerTable:
@@ -76,6 +76,23 @@ class TestCheckMaximalLoops:
         assert report.non_loops == (frozenset({0}),)
         assert report.blocks == (frozenset({1}),)
         assert "dropped" in report.describe()
+
+    def test_whole_scc_entry_peak_is_linear(self):
+        # A one-letter 30,000-cycle whose table is the cycle: the entry
+        # equals an SCC, so its loop test needs no k x k bitmasks (about
+        # 186 MB traced for this k).  The analysis itself peaks at about
+        # 230 B a state.
+        k = 30000
+        a = DetAutomaton(alphabet=("a",), n_states=k, initial=0, delta=[(s + 1) % k for s in range(k)])
+        t = MullerTable.of(range(k))
+        tracemalloc.start()
+        try:
+            report = check_maximal_loops(a, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and report.blocks == (frozenset(range(k)),)
+        assert peak < 400 * k
 
 
 class TestStateBound:
@@ -290,15 +307,15 @@ class TestTranslation:
             a = random_automaton(rng, rng.randint(2, 30))
             t = scc_table(a, rng)
             for prune in (False, True):
-                monkeypatch.setattr(to_buchi, "VECTORIZE_THRESHOLD", math.inf)
-                py = muller_to_buchi_maximal(a, t, prune=prune)
-                monkeypatch.setattr(to_buchi, "VECTORIZE_THRESHOLD", 0)
-                np_ = muller_to_buchi_maximal(a, t, prune=prune)
+                with pinned_kernel(False):
+                    py = muller_to_buchi_maximal(a, t, prune=prune)
+                with pinned_kernel(True):
+                    np_ = muller_to_buchi_maximal(a, t, prune=prune)
                 assert py.automaton == np_.automaton
                 assert py.accepting == np_.accepting
                 assert py.unpruned_state_count == np_.unpruned_state_count
                 assert dict(py.origin) == dict(np_.origin)
-        assert len(numpy_runs) == 20 * 2  # the threshold picked each kernel once per pair
+        assert len(numpy_runs) == 20 * 2  # each kernel ran once per pair
 
     def test_weakness_not_required_of_translation(self):
         # the layered automaton of a full SCC is generally not weak, but its
@@ -365,9 +382,7 @@ def test_seeded_prune_keeps_what_the_initial_state_reaches(instance):
         calls.append((flat2d.ravel().tolist(), seeds, result))
         return result
 
-    with mock.patch.object(to_buchi, "VECTORIZE_THRESHOLD", 0), mock.patch.object(
-        to_buchi, "_prune_numpy", spy
-    ):
+    with pinned_kernel(True), mock.patch.object(to_buchi, "_prune_numpy", spy):
         tr = muller_to_buchi_maximal(a, t)
     ((flat, seeds, (new_flat, kept)),) = calls
     reference, expected = walk_reference(flat, r, a.initial)
@@ -396,11 +411,9 @@ def test_kernels_agree_on_every_block_shape(instance, prune):
         calls.append((list(flat), result))
         return result
 
-    with mock.patch.object(to_buchi, "VECTORIZE_THRESHOLD", math.inf), mock.patch.object(
-        to_buchi, "_prune_python", spy
-    ):
+    with pinned_kernel(False), mock.patch.object(to_buchi, "_prune_python", spy):
         py = muller_to_buchi_maximal(a, t, prune=prune)
-    with mock.patch.object(to_buchi, "VECTORIZE_THRESHOLD", 0):
+    with pinned_kernel(True):
         np_ = muller_to_buchi_maximal(a, t, prune=prune)
     assert py.automaton == np_.automaton
     assert py.accepting == np_.accepting
@@ -430,7 +443,7 @@ def test_prune_walks_agree_with_the_reference_walk(wide_level):
         calls.append((flat2d.ravel().tolist(), result))
         return result
 
-    with mock.patch.object(to_buchi, "VECTORIZE_THRESHOLD", 0), mock.patch.object(
+    with pinned_kernel(True), mock.patch.object(
         to_buchi, "_WIDE_LEVEL", wide_level
     ), mock.patch.object(to_buchi, "_prune_numpy", spy):
         muller_to_buchi_maximal(a, MullerTable.of(range(60)))
@@ -440,9 +453,48 @@ def test_prune_walks_agree_with_the_reference_walk(wide_level):
     assert list(new_flat) == expected
 
 
+def test_kernel_follows_the_crossover_once_numpy_is_imported(monkeypatch):
+    # With numpy imported, a translation of `_NUMPY_CELLS` output cells or
+    # more runs the numpy kernel even far below `VECTORIZE_THRESHOLD`, and a
+    # smaller one runs Python; the file bytes are those of the other kernel.
+    # chain_plus_random(n) with its whole SCC as the table has 2(n + n^2)
+    # cells: 220 at n=10, 264 at n=11 and 65,160 at n=180.
+    import numpy  # noqa: F401
+
+    from omega_baire import automaton, serialize_automaton
+
+    runs = []
+    for name in ("_layered_delta_python", "_layered_delta_numpy"):
+        real = getattr(to_buchi, name)
+        monkeypatch.setattr(
+            to_buchi, name, lambda *args, name=name, real=real: runs.append(name) or real(*args)
+        )
+    for n, kernel in ((10, "python"), (11, "numpy"), (180, "numpy")):
+        a = chain_plus_random(n)
+        t = MullerTable.of(range(n))
+        runs.clear()
+        tr = muller_to_buchi_maximal(a, t)
+        cells = tr.unpruned_state_count * len(a.alphabet)
+        assert cells < to_buchi.VECTORIZE_THRESHOLD
+        assert (cells >= automaton._NUMPY_CELLS) == (kernel == "numpy")
+        assert runs == [f"_layered_delta_{kernel}"], n
+        with pinned_kernel(kernel == "python"):
+            other = muller_to_buchi_maximal(a, t)
+        assert runs[1:] == [f"_layered_delta_{'numpy' if kernel == 'python' else 'python'}"]
+        assert serialize_automaton(tr.automaton, tr.accepting, tr.origin) == serialize_automaton(
+            other.automaton, other.accepting, other.origin
+        )
+    # Without numpy imported, only `VECTORIZE_THRESHOLD` switches.
+    assert to_buchi._numpy_kernel(automaton._NUMPY_CELLS)
+    monkeypatch.delitem(sys.modules, "numpy")
+    assert not to_buchi._numpy_kernel(to_buchi.VECTORIZE_THRESHOLD - 1)
+    assert to_buchi._numpy_kernel(to_buchi.VECTORIZE_THRESHOLD)
+
+
 def test_python_kernel_peak_memory_per_output_state():
-    # The chain-plus-random SCC at n=180: 65,160 cells, just below the
-    # numpy kernel's threshold, 31,572 output states.  The traced peak is
+    # The chain-plus-random SCC at n=180: 65,160 cells, just below
+    # `VECTORIZE_THRESHOLD`, 31,572 output states, on the Python kernel
+    # (pinned, since numpy may already be imported).  The traced peak is
     # about 153 B per output state, reached when the prune has built the
     # renumbered table: it holds the unpruned table (about 82 B), the
     # renumbering map (about 40 B), the kept states (8 B) and the new table
@@ -453,7 +505,8 @@ def test_python_kernel_peak_memory_per_output_state():
     analysis = analyze(a)
     tracemalloc.start()
     try:
-        tr = muller_to_buchi_maximal(a, t, analysis)
+        with pinned_kernel(False):
+            tr = muller_to_buchi_maximal(a, t, analysis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
