@@ -9,6 +9,7 @@ failures, 2 parse error, 3 budget exceeded, 4 precondition violated,
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import statistics
 import sys
@@ -251,7 +252,7 @@ def cmd_selftest(args) -> int:
     if timings:
         ms = sorted(x * 1000 for x in timings)
         p50 = statistics.median(ms)
-        p90 = ms[min(len(ms) - 1, int(0.9 * len(ms)))]
+        p90 = ms[math.ceil(0.9 * len(ms)) - 1]  # nearest rank
         print(
             f"timing ms per trial: p50={p50:.2f} p90={p90:.2f} max={ms[-1]:.2f}",
             file=sys.stderr,

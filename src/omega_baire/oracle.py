@@ -7,9 +7,10 @@ and the end-to-end witness verifier.
 
 Two oracle routes are deliberately kept separate so that a bug in one cannot
 hide in the other: the loop route enumerates realizable Inf sets of a
-product, while the lasso route evaluates acceptance of concrete ultimately
-periodic words.  Every counterexample either route reports is re-verified by
-direct acceptance evaluation before it is returned.
+product, while the lasso route evaluates concrete ultimately periodic words,
+one period per conjugacy class where that decides the same domain, and never
+enumerates loops.  Every counterexample either route reports is re-verified
+by direct acceptance evaluation before it is returned.
 
 The checks of `verify_baire_witness`, in report order, with the budgets
 that can make them skip in brackets (F input, E open witness, F' meagre):
@@ -341,7 +342,7 @@ def maximal_muller_buchi_equiv(
 
 
 # ---------------------------------------------------------------------------
-# Bounded exhaustive lasso scan
+# Bounded lasso scan
 
 def lasso_domain_size(alphabet_size: int, max_prefix: int, max_period: int) -> int:
     """Number of lassos with |prefix| <= max_prefix, 1 <= |period| <= max_period."""
@@ -364,10 +365,23 @@ def bounded_lasso_scan(
 
     Acceptance of a lasso depends on the prefix only through the state it
     reaches, so prefixes are collapsed to one shortest representative per
-    reachable state; the scan is exhaustive over the full bounded domain.
-    Periods are walked in depth-first preorder, and for each period the
-    start states in ascending order; the first start whose run violates
-    gives the lasso.
+    reachable state; the scan decides the full bounded domain.  Periods are
+    ordered in depth-first preorder, which is lexicographic order, and for
+    each period the start states in ascending order; the first start whose
+    run violates gives the lasso.
+
+    The domain is closed when every reachable state is a start, that is,
+    has a shortest prefix of at most `max_prefix`; the start walk sees this
+    when it ends without meeting a farther state.  A closed domain is
+    decided by its Lyndon periods alone, reached by walking only the
+    prenecklaces in the same preorder (Fredricksen and Maiorana).  Proof:
+    let v have primitive root u = xy with yx Lyndon.  As v^omega equals
+    x(yx)^omega, v read from a start s has the Inf set of yx read from
+    delta*(s, x), which is reachable and so a start; and yx, the least
+    rotation of u, comes no later than v.  So the first violating period is
+    itself Lyndon, and the lasso returned and the Inf sets asked about are
+    those of walking every period.  A domain that is not closed is walked
+    in full.
 
     Down the period walk each state carries its image under the period and
     the mask of states visited while reading it, so the Inf set of a cycle
@@ -393,8 +407,10 @@ def bounded_lasso_scan(
             raise SizeGuard(f"lasso scan needs more than {budget} steps")
 
     starts: dict[int, tuple[str, ...]] = {}
+    closed = True
     for t, s, x in level_order(delta, r, a.initial):
         if s >= 0 and len(starts[s]) >= max_prefix:
+            closed = False  # t is reachable but no start
             break  # in level order, every later prefix is at least as long
         starts[t] = () if s < 0 else starts[s] + (a.alphabet[x],)
     start_items = sorted(starts.items())
@@ -434,23 +450,37 @@ def bounded_lasso_scan(
         return None
 
     def dfs(
-        mapping: list[int], trace: list[int], period_idx: tuple[int, ...]
+        mapping: list[int], trace: list[int], period_idx: tuple[int, ...], lyn: int
     ) -> LassoWord | None:
-        for xi in range(r):
+        # With lyn = 0 every period is walked and judged.  Otherwise only
+        # prenecklaces are walked and only Lyndon words judged: `lyn` is the
+        # length of the longest Lyndon prefix of `period_idx` (1 at the
+        # root), a child below the letter that repeats that prefix is no
+        # prenecklace, and a child is Lyndon when that prefix is all of it;
+        # a leaf that is not judged is not built.
+        depth = len(period_idx)
+        low = period_idx[depth - lyn] if lyn and depth else 0
+        leaf = depth + 1 == max_period
+        for xi in range(low, r):
+            child_lyn = lyn if depth and xi == low else depth + 1
+            judge = not lyn or child_lyn > depth
+            if leaf and not judge:
+                continue
             step = step_maps[xi]
             new_map = [step[m] for m in mapping]
             new_trace = [v | bit[m] for v, m in zip(trace, new_map)]
             new_idx = period_idx + (xi,)
-            prefix = violating_prefix(new_map, new_trace)
-            if prefix is not None:
-                return LassoWord(prefix, tuple(a.alphabet[i] for i in new_idx))
-            if len(new_idx) < max_period:
-                found = dfs(new_map, new_trace, new_idx)
+            if judge:
+                prefix = violating_prefix(new_map, new_trace)
+                if prefix is not None:
+                    return LassoWord(prefix, tuple(a.alphabet[i] for i in new_idx))
+            if not leaf:
+                found = dfs(new_map, new_trace, new_idx, lyn and child_lyn)
                 if found is not None:
                     return found
         return None
 
-    return dfs(list(range(n)), [0] * n, ())
+    return dfs(list(range(n)), [0] * n, (), 1 if closed else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -369,6 +370,15 @@ class TestSelftest:
         captured = capsys.readouterr()
         assert "timing" in captured.err
         assert "timing" not in captured.out
+
+    def test_timing_p90_is_the_nearest_rank(self, capsys, monkeypatch):
+        # Trials timed 1..10 ms: the nearest-rank p90 of ten is the ninth.
+        clock = iter(t for k in range(1, 11) for t in (0.0, k / 1000))
+        monkeypatch.setattr(
+            "omega_baire.cli.time", types.SimpleNamespace(perf_counter=lambda: next(clock))
+        )
+        cli_run(["selftest", "--states", "3", "--trials", "10", "--seed", "1"])
+        assert "p50=5.50 p90=9.00 max=10.00" in capsys.readouterr().err
 
     def test_lasso_bound_past_the_scan_budget_skips(self, capsys):
         # The scan's step count at period 20000 has thousands of digits.

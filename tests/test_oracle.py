@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -354,6 +355,74 @@ class TestBoundedLassoScan:
                 inf_set(a, w) for w in exhaustive_lassos(a.alphabet, max_prefix, max_period)
             }
             assert set(calls) == expected
+
+    def test_unclosed_domain_scans_every_period(self):
+        # 0 -a-> 2, 0 -b-> 1, 1 -a-> 0, 1 -b-> 2, and 2 loops on both letters.
+        # With max_prefix 0 the only start is 0, while 1 and 2 are reachable:
+        # the Lyndon period "ab" from 0 stays in {2}, and only its conjugate
+        # "ba" from 0 sees {0, 1}.
+        a = DetAutomaton(alphabet=("a", "b"), n_states=3, initial=0, delta=(2, 1, 0, 2, 2, 2))
+        got = bounded_lasso_scan(a, lambda z: z == {0, 1}, 0, 2)
+        assert got == LassoWord((), ("b", "a"))
+
+    def test_closed_domain_judges_lyndon_periods_only(self):
+        # Over 2 letters there are 510 periods of length 1..8, 71 of them
+        # Lyndon words; each period judged runs one `violating_prefix` pass.
+        judged = []
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "violating_prefix":
+                judged.append(1)
+
+        one = DetAutomaton(alphabet=("a", "b"), n_states=1, initial=0, delta=(0, 0))
+        # 1 is reachable but, with no prefix allowed, no start.
+        two = DetAutomaton(alphabet=("a", "b"), n_states=2, initial=0, delta=(1, 1, 1, 1))
+        for a, expected in ((one, 71), (two, 510)):
+            judged.clear()
+            sys.setprofile(count)
+            try:
+                assert bounded_lasso_scan(a, lambda z: False, 0, 8) is None
+            finally:
+                sys.setprofile(None)
+            assert len(judged) == expected
+
+    def test_long_periods_same_lasso_and_inf_sets_as_reference(self):
+        # Periods up to 8 hold proper powers and long conjugacy classes, which
+        # the scan judges through one Lyndon period each when every reachable
+        # state is a start.  Lasso and the set of Inf sets asked about (each
+        # once) must still be those of the literal preorder scan.
+        rng = random.Random(71)
+        kinds = set()
+        for case in range(300):
+            a = random_automaton(rng, rng.randint(1, 6), rng.randint(1, 2))
+            loops = sorted(enumerate_loops(a), key=sorted)
+            rate = (0.0, 0.1, 0.3)[case % 3]
+            bad = {z for z in loops if rng.random() < rate}
+            max_prefix, max_period = rng.randint(0, 3), rng.randint(5, 8)
+            asked, ref_asked = [], set()
+
+            def pred(z):
+                asked.append(z)
+                return z in bad
+
+            def ref_pred(z):
+                ref_asked.add(z)
+                return z in bad
+
+            got = bounded_lasso_scan(a, pred, max_prefix, max_period)
+            assert got == self._reference_scan(a, ref_pred, max_prefix, max_period)
+            assert len(asked) == len(set(asked))
+            assert set(asked) == ref_asked
+            # Closed: every reachable state is within max_prefix steps.
+            dist = {a.initial: 0}
+            queue = [a.initial]
+            for s in queue:
+                for t in a.delta[s * len(a.alphabet):(s + 1) * len(a.alphabet)]:
+                    if t not in dist:
+                        dist[t] = dist[s] + 1
+                        queue.append(t)
+            kinds.add((max(dist.values()) <= max_prefix, got is not None))
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_domain_size(self):
         assert lasso_domain_size(2, 1, 1) == 3 * 2
