@@ -205,7 +205,7 @@ def cyclic_sccs(
             yield comp
 
 
-def _local_masks(a: DetAutomaton, members: Sequence[int]) -> tuple[list[int], list[int]]:
+def local_masks(a: DetAutomaton, members: Sequence[int]) -> tuple[list[int], list[int]]:
     """Successor and predecessor bitmasks of the subgraph induced by
     `members`: bit j of succ[i] (and bit i of pred[j]) is set iff some symbol
     maps members[i] to members[j]."""
@@ -228,7 +228,7 @@ def _local_masks(a: DetAutomaton, members: Sequence[int]) -> tuple[list[int], li
 
 def _strongly_connected(succ: list[int], pred: list[int], mask: int) -> bool:
     """Strong connectivity of the subgraph induced by the nonempty `mask`
-    over local masks from `_local_masks`: its lowest bit reaches every bit
+    over local masks from `local_masks`: its lowest bit reaches every bit
     forward and backward inside `mask` (the frontier is taken from its top
     bit, which keeps the ints short); a singleton needs a self-transition."""
     low = mask & -mask
@@ -274,8 +274,36 @@ def is_loop(
     if analysis is not None and analysis.scc_id_of_set(zs) is not None:
         return len(zs) > 1 or self_loop_symbol(a, min(zs)) is not None
     members = sorted(zs)
-    succ, pred = _local_masks(a, members)
+    succ, pred = local_masks(a, members)
     return _strongly_connected(succ, pred, (1 << len(members)) - 1)
+
+
+def loop_candidates(
+    a: DetAutomaton, budget: int, analysis: SccAnalysis | None
+) -> list[frozenset[int]]:
+    """The reachable SCCs in id order, the only places loops live.  Raises
+    SizeGuard when their subset counts together exceed `budget`."""
+    if analysis is None:
+        analysis = analyze(a)
+    candidates = [c for c in analysis.sccs if not c.isdisjoint(analysis.reachable)]
+    # The sum stops at the budget: past it, it can grow to thousands of digits.
+    cost = 0
+    for c in candidates:
+        cost += 1 << len(c)
+        if cost > budget:
+            raise SizeGuard(f"loop enumeration needs more than {budget} subset checks")
+    return candidates
+
+
+def scc_loops(a: DetAutomaton, scc: frozenset[int]) -> Iterator[frozenset[int]]:
+    """The loops inside one SCC, in ascending subset-mask order over its
+    sorted members."""
+    members = sorted(scc)
+    k = len(members)
+    succ, pred = local_masks(a, members)
+    for mask in range(1, 1 << k):
+        if _strongly_connected(succ, pred, mask):
+            yield frozenset(members[i] for i in range(k) if mask >> i & 1)
 
 
 def iter_loops(
@@ -288,28 +316,17 @@ def iter_loops(
     of reachable SCCs are examined.  Raises SizeGuard when the total subset
     count would exceed `budget`.
 
+    The budget check and the candidate SCCs come from `loop_candidates`,
+    the loops of each SCC from `scc_loops`; the verifier's `symdiff-loops`
+    shares both, and enumerates only the SCCs its per-SCC facts leave open.
     Each SCC's induced edges are stored once as int successor and
     predecessor masks over its sorted members; every subset mask is then
     tested by a forward and a backward closure from its lowest bit in int
     operations (a singleton by its self-loop bit), and a frozenset is built
     only for a loop.  SCCs come in id order, and the loops of one SCC in
     ascending subset-mask order."""
-    if analysis is None:
-        analysis = analyze(a)
-    candidates = [c for c in analysis.sccs if not c.isdisjoint(analysis.reachable)]
-    # The sum stops at the budget: past it, it can grow to thousands of digits.
-    cost = 0
-    for c in candidates:
-        cost += 1 << len(c)
-        if cost > budget:
-            raise SizeGuard(f"loop enumeration needs more than {budget} subset checks")
-    for scc in candidates:
-        members = sorted(scc)
-        k = len(members)
-        succ, pred = _local_masks(a, members)
-        for mask in range(1, 1 << k):
-            if _strongly_connected(succ, pred, mask):
-                yield frozenset(members[i] for i in range(k) if mask >> i & 1)
+    for scc in loop_candidates(a, budget, analysis):
+        yield from scc_loops(a, scc)
 
 
 def enumerate_loops(

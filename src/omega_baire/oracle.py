@@ -6,11 +6,15 @@ maximal-loop Muller versus Buchi automata, reproducible random instances,
 and the end-to-end witness verifier.
 
 Two oracle routes are deliberately kept separate so that a bug in one cannot
-hide in the other: the loop route enumerates realizable Inf sets of a
+hide in the other: the loop route judges the realizable Inf sets of a
 product, while the lasso route evaluates concrete ultimately periodic words,
 one period per conjugacy class where that decides the same domain, and never
-enumerates loops.  Every counterexample either route reports is re-verified
-by direct acceptance evaluation before it is returned.
+enumerates loops.  The verifier's loop route decides per product SCC, from
+its projections, whether the SCC can hold a violating loop, and enumerates
+loops only in the SCCs those facts leave open, in the same order as
+`iter_loops`, so it reports the same first loop.  Every counterexample
+either route reports is re-verified by direct acceptance evaluation before
+it is returned.
 
 The checks of `verify_baire_witness`, in report order, with the budgets
 that can make them skip in brackets (F input, E open witness, F' meagre):
@@ -52,6 +56,9 @@ from .loops import (
     is_loop,
     iter_loops,
     level_order,
+    local_masks,
+    loop_candidates,
+    scc_loops,
     self_loop_symbol,
 )
 from .to_buchi import buchi_state_bound, check_maximal_loops
@@ -282,6 +289,21 @@ def language_subset_oracle(
 # Exact equivalence: maximal-loop Muller vs Buchi
 
 
+def _on_cycle(succ: list[int], allowed: int, h: int) -> bool:
+    """Whether local state `h` lies on a cycle inside the `allowed` mask over
+    successor masks from `local_masks`: the forward closure from its
+    successors in `allowed` comes back to it."""
+    target = 1 << h
+    seen = frontier = succ[h] & allowed
+    while frontier and not seen & target:
+        i = frontier.bit_length() - 1
+        frontier ^= 1 << i
+        new = succ[i] & allowed & ~seen
+        seen |= new
+        frontier |= new
+    return seen & target != 0
+
+
 def maximal_muller_buchi_equiv(
     aA: DetAutomaton,
     t: MullerTable,
@@ -296,8 +318,17 @@ def maximal_muller_buchi_equiv(
     Product loops are grouped by the SCC of their Muller-side projection.
     Within each group, a disagreeing loop exists iff one of a family of
     SCC cover tests succeeds: a loop that hits the Buchi set while missing
-    one required state of a table block (or sitting over a non-table SCC),
-    or a loop that covers a whole table block while avoiding the Buchi set.
+    one required state z* of a table block (or sitting over a non-table
+    SCC), or a loop that covers a whole table block while avoiding the
+    Buchi set.
+
+    The member family is decided on the group's int successor masks: a
+    cyclic SCC of the group minus z* holds a hit iff some hit state lies
+    on a cycle there, which one forward closure per hit tells.  Only the
+    first z* that succeeds gets its SCC pass, which finds the same SCC and
+    so the same lasso as a pass per member would; a group over a non-table
+    SCC is passed over when it holds no hit.  So an equal pair costs one
+    SCC pass per table block.
     """
     analysisA = analyze(aA)
     report = check_maximal_loops(aA, t, analysisA)
@@ -318,15 +349,26 @@ def maximal_muller_buchi_equiv(
     def first_violation(sub: list[int], want: Callable[[frozenset[int]], bool]):
         return next((c for c in cyclic_sccs(P, sub) if want(c)), None)
 
+    def holds_hit(c: frozenset[int]) -> bool:
+        return any(hit[p] for p in c)
+
     for d in sorted(by_scc):
         region = by_scc[d]
         scc_set = analysisA.sccs[d]
         if scc_set in blocks:
-            for z_star in sorted(scc_set):
-                sub = [p for p in region if left[p] != z_star]
-                z = first_violation(sub, lambda c: any(hit[p] for p in c))
-                if z is not None:
-                    return _checked_verdict(aB, b, aA, t, loop_lasso(P, z))
+            hits = [i for i, p in enumerate(region) if hit[p]]
+            if hits and len(scc_set) > 1:  # a one-state block minus z* is empty
+                succ, _ = local_masks(P, region)
+                over: dict[int, int] = {}  # z* -> mask of the states over it
+                for i, p in enumerate(region):
+                    over[left[p]] = over.get(left[p], 0) | 1 << i
+                full = (1 << len(region)) - 1
+                for z_star in sorted(scc_set):
+                    allowed = full & ~over.get(z_star, 0)
+                    if any(allowed >> h & 1 and _on_cycle(succ, allowed, h) for h in hits):
+                        sub = [p for p in region if left[p] != z_star]
+                        z = first_violation(sub, holds_hit)
+                        return _checked_verdict(aB, b, aA, t, loop_lasso(P, z))
             sub = [p for p in region if not hit[p]]
             classes = frozenset(scc_set)
             z = first_violation(
@@ -334,8 +376,8 @@ def maximal_muller_buchi_equiv(
             )
             if z is not None:
                 return _checked_verdict(aA, t, aB, b, loop_lasso(P, z))
-        else:
-            z = first_violation(region, lambda c: any(hit[p] for p in c))
+        elif holds_hit(region):
+            z = first_violation(region, holds_hit)
             if z is not None:
                 return _checked_verdict(aB, b, aA, t, loop_lasso(P, z))
     return SubsetVerdict(True, None)
@@ -595,6 +637,45 @@ class WitnessReport:
         return "\n".join(lines)
 
 
+def _first_symdiff_loop(
+    prod: ProductAutomaton,
+    in_symdiff: Callable[[frozenset[int]], bool],
+    t: MullerTable,
+    t1: MullerTable,
+    meagre: MullerTable,
+    loop_budget: int,
+) -> frozenset[int] | None:
+    """The first loop in `iter_loops` order of the product of F (table `t`)
+    and E (table `t1`) that satisfies `in_symdiff`: F and E disagree on
+    it and its left projection is an entry of `meagre`.
+
+    Each product SCC D is settled from cheap facts where they suffice.  A
+    one-state D without a self-transition holds no loop.  A loop of D
+    projects into D's left projection zl, so with no entry of `meagre`
+    inside zl, D holds none.  With a right projection zr = {e}, every loop
+    of D has right projection {e}, so D holds none when each entry inside
+    zl is in `t` exactly when {e} is in `t1`.  Only an SCC left open is
+    enumerated, in the order `iter_loops` uses; the budget check stays up
+    front over every reachable SCC, so it skips exactly where `iter_loops`
+    does."""
+    P = prod.automaton
+    left, right = prod.left, prod.right
+    for d in loop_candidates(P, loop_budget, None):
+        if len(d) == 1 and self_loop_symbol(P, min(d)) is None:
+            continue
+        zl = frozenset(left[q] for q in d)
+        inside = [e for e in meagre.entries if e <= zl]
+        if not inside:
+            continue
+        zr = frozenset(right[q] for q in d)
+        if len(zr) == 1 and all((e in t.entries) == (zr in t1.entries) for e in inside):
+            continue
+        z = next(filter(in_symdiff, scc_loops(P, d)), None)
+        if z is not None:
+            return z
+    return None
+
+
 def verify_baire_witness(
     a: DetAutomaton,
     t: MullerTable,
@@ -639,7 +720,7 @@ def verify_baire_witness(
     except SizeGuard as e:
         prod1 = e
 
-    def symdiff_route() -> tuple[DetAutomaton, Callable[[frozenset[int]], bool]]:
+    def symdiff_route() -> tuple[ProductAutomaton, Callable[[frozenset[int]], bool]]:
         if isinstance(prod1, SizeGuard):
             raise prod1
         left, right = prod1.left, prod1.right
@@ -649,22 +730,22 @@ def verify_baire_witness(
             zr = frozenset(right[q] for q in z)
             return ((zl in t.entries) != (zr in t1.entries)) and zl in meagre_table.entries
 
-        return prod1.automaton, in_symdiff
+        return prod1, in_symdiff
 
-    def symdiff_loops(p1: DetAutomaton, in_symdiff) -> Verdict:
-        for z in iter_loops(p1, budget=loop_budget):
-            if in_symdiff(z):
-                w = loop_lasso(p1, z)
-                in_f = accepts_muller(a, t, w)
-                in_e = accepts_muller(a1, t1, w)
-                in_meagre_complement = accepts_muller(a, meagre_table, w)
-                if not ((in_f != in_e) and in_meagre_complement):
-                    raise RuntimeError("loop witness failed re-check")
-                return "fail", w, ""
-        return "pass", None, ""
+    def symdiff_loops(prod: ProductAutomaton, in_symdiff) -> Verdict:
+        z = _first_symdiff_loop(prod, in_symdiff, t, t1, meagre_table, loop_budget)
+        if z is None:
+            return "pass", None, ""
+        w = loop_lasso(prod.automaton, z)
+        in_f = accepts_muller(a, t, w)
+        in_e = accepts_muller(a1, t1, w)
+        in_meagre_complement = accepts_muller(a, meagre_table, w)
+        if not ((in_f != in_e) and in_meagre_complement):
+            raise RuntimeError("loop witness failed re-check")
+        return "fail", w, ""
 
-    def symdiff_lassos(p1: DetAutomaton, in_symdiff) -> Verdict:
-        w = bounded_lasso_scan(p1, in_symdiff, lasso_bound, lasso_bound)
+    def symdiff_lassos(prod: ProductAutomaton, in_symdiff) -> Verdict:
+        w = bounded_lasso_scan(prod.automaton, in_symdiff, lasso_bound, lasso_bound)
         if w is not None:
             return "fail", w, ""
         covered = lasso_domain_size(len(a.alphabet), lasso_bound, lasso_bound)

@@ -204,7 +204,7 @@ class TestIsLoop:
                 if an.scc_id_of_set(z) is None:
                     assert is_loop(a, z, an) == expected, (a, sorted(z))
                     continue
-                with mock.patch.object(loops, "_local_masks", side_effect=AssertionError):
+                with mock.patch.object(loops, "local_masks", side_effect=AssertionError):
                     assert is_loop(a, z, an) == expected, (a, sorted(z))
 
 
