@@ -327,8 +327,9 @@ def maximal_muller_buchi_equiv(
     on a cycle there, which one forward closure per hit tells.  Only the
     first z* that succeeds gets its SCC pass, which finds the same SCC and
     so the same lasso as a pass per member would; a group over a non-table
-    SCC is passed over when it holds no hit.  So an equal pair costs one
-    SCC pass per table block.
+    SCC is passed over when it holds no hit.  So a correct layered
+    translation, whose accepting states all lie over table blocks, costs
+    one SCC pass per block.
     """
     analysisA = analyze(aA)
     report = check_maximal_loops(aA, t, analysisA)
