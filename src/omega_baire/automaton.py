@@ -245,26 +245,61 @@ def run(a: DetAutomaton, state: int, word: Word | str) -> int:
     return s
 
 
+def _period_columns(a: DetAutomaton, period_indices: Sequence[int]) -> list[memoryview]:
+    """One column view of the table per period letter: the column of symbol
+    x is `memoryview(a.delta)[x::r]`, so the successor of `s` under it is
+    `column[s]`.  The views copy nothing and hold the table's buffer only
+    until the walk that built them returns."""
+    r = len(a.alphabet)
+    table = memoryview(a.delta)
+    by_symbol = [table[x::r] for x in range(r)]
+    return [by_symbol[x] for x in period_indices]
+
+
 def _cycle_states(a: DetAutomaton, state: int, period_indices: Sequence[int]) -> Iterator[int]:
     """States reached, in step order, by the run from `state` that reads the
     period (symbol indices) forever, over one round of its repeating cycle
     of anchors, the states where a period read begins.
 
-    The run is walked once, keeping every state it reaches in one trace and
-    the trace index of each anchor, until an anchor repeats; the cycle is
-    the trace from that anchor's first index on.  Callers check the arguments."""
-    r = len(a.alphabet)
-    delta = a.delta
+    The run is walked once through the period's column views
+    (`_period_columns`), one index a step, keeping every state it reaches
+    in one trace and the trace index of each anchor, until an anchor
+    repeats; the cycle is the trace from that anchor's first index on.
+    Callers check the arguments."""
+    columns = _period_columns(a, period_indices)
     seen: dict[int, int] = {}
     trace: list[int] = []
     append = trace.append
     s = state
     while s not in seen:
         seen[s] = len(trace)
-        for x in period_indices:
-            s = delta[s * r + x]
+        for column in columns:
+            s = column[s]
             append(s)
     return islice(trace, seen[s], None)
+
+
+def _cycle_meets(
+    a: DetAutomaton, state: int, period_indices: Sequence[int], states: frozenset[int]
+) -> bool:
+    """Whether the run of `_cycle_states` visits `states` on its anchor
+    cycle.  The same walk keeps one flag per period read, set when the read
+    met `states`, instead of every state; the answer is the flags of the
+    reads from the cycle's anchors, so a visit on a read from an anchor
+    before the cycle does not count.  Callers check the arguments."""
+    columns = _period_columns(a, period_indices)
+    seen: dict[int, int] = {}
+    hits = bytearray()
+    s = state
+    while s not in seen:
+        seen[s] = len(hits)
+        hit = 0
+        for column in columns:
+            s = column[s]
+            if s in states:
+                hit = 1
+        hits.append(hit)
+    return 1 in hits[seen[s]:]
 
 
 def inf_from_state(a: DetAutomaton, state: int, period_indices: Sequence[int]) -> frozenset[int]:
@@ -272,12 +307,13 @@ def inf_from_state(a: DetAutomaton, state: int, period_indices: Sequence[int]) -
     period (given as symbol indices) forever: every state visited while
     reading one period from each anchor on the repeating anchor cycle.
 
-    One walk, one trace entry per step.  The period map is iterated until
-    an anchor repeats, at most n_states + 1 times by pigeonhole, so the time
-    is Θ(anchors·|period|), anchors counting those before the cycle and on
-    it; `inf_set` adds Θ(|prefix|) for the prefix.  Raises `ValueError` on
-    an empty period or a symbol index outside 0..r-1, and `BadStateIndex` on
-    a start state out of range."""
+    One walk over the period's column views, one index and one trace entry
+    per step (`_cycle_states`).  The period map is iterated until an anchor
+    repeats, at most n_states + 1 times by pigeonhole, so the time is
+    Θ(anchors·|period|), anchors counting those before the cycle and on it;
+    `inf_set` adds Θ(|prefix|) for the prefix.  Raises `ValueError` on an
+    empty period or a symbol index outside 0..r-1, and `BadStateIndex` on a
+    start state out of range."""
     if not period_indices:
         raise ValueError("period must be nonempty")
     if not 0 <= state < a.n_states:
@@ -288,14 +324,15 @@ def inf_from_state(a: DetAutomaton, state: int, period_indices: Sequence[int]) -
     return frozenset(_cycle_states(a, state, period_indices))
 
 
-def _lasso_cycle(a: DetAutomaton, w: LassoWord) -> Iterator[int]:
-    """`_cycle_states` of the run over `w` from the initial state."""
+def _lasso_start(a: DetAutomaton, w: LassoWord) -> tuple[int, list[int]]:
+    """The state the run over `w` reaches after the prefix, and the
+    period's symbol indices."""
     s = run(a, a.initial, w.prefix)
     try:
         period_idx = [a.symbol_index[tok] for tok in w.period]
     except KeyError as e:
         raise UnknownSymbol(f"symbol {e.args[0]!r} not in alphabet") from None
-    return _cycle_states(a, s, period_idx)
+    return s, period_idx
 
 
 def inf_set(a: DetAutomaton, w: LassoWord) -> frozenset[int]:
@@ -303,7 +340,7 @@ def inf_set(a: DetAutomaton, w: LassoWord) -> frozenset[int]:
 
     The result is always a nonempty loop of the automaton.
     """
-    return frozenset(_lasso_cycle(a, w))
+    return frozenset(_cycle_states(a, *_lasso_start(a, w)))
 
 
 def accepts_muller(a: DetAutomaton, t: MullerTable, w: LassoWord) -> bool:
@@ -313,6 +350,6 @@ def accepts_muller(a: DetAutomaton, t: MullerTable, w: LassoWord) -> bool:
 
 def accepts_buchi(a: DetAutomaton, b: BuchiSet, w: LassoWord) -> bool:
     """Buchi acceptance: the Inf set of the run meets the accepting set.
-    Tested on the states of the run's cycle as walked, without building the
-    Inf set."""
-    return not b.accepting.isdisjoint(_lasso_cycle(a, w))
+    Decided by `_cycle_meets` from one flag per period read, without
+    keeping the states of the walk or building the Inf set."""
+    return _cycle_meets(a, *_lasso_start(a, w), b.accepting)

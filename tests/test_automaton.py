@@ -15,6 +15,7 @@ from omega_baire import (
     UnknownSymbol,
     accepts_buchi,
     accepts_muller,
+    analyze,
     inf_set,
     is_loop,
     loop_lasso,
@@ -211,9 +212,9 @@ class TestLongAnchorCycles:
 
     def test_buchi_peak_memory_per_walked_step(self):
         # 100k cycle states read 100 at a time: 1000 anchors, each state
-        # reached once, so the walk takes 100k steps.  The trace holds one
-        # list slot and one int per step, about 41 B; an Inf set built as a
-        # set and then copied to a frozenset takes about 117 B.
+        # reached once, so the walk takes 100k steps.  The Buchi walk keeps
+        # one flag per period read and one dict entry per anchor, about 1 B
+        # a step here, where a trace of every state takes about 41 B.
         n, v = 100_000, 100
         a = rho_automaton(0, n)
         w = LassoWord("", "a" * v)
@@ -224,7 +225,86 @@ class TestLongAnchorCycles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / n < 64
+        assert peak / n < 4
+
+
+def reference_cycle(a: DetAutomaton, state: int, period_indices) -> tuple[list[int], int, int]:
+    """The walk kept as the reference for the column-view kernels: each step
+    computes `delta[s * r + x]` and every state reached goes into one trace.
+    Returns the trace, the index where the anchor cycle's reads begin in it,
+    and the number of anchors walked."""
+    r = len(a.alphabet)
+    seen: dict[int, int] = {}
+    trace: list[int] = []
+    s = state
+    while s not in seen:
+        seen[s] = len(trace)
+        for x in period_indices:
+            s = a.delta[s * r + x]
+            trace.append(s)
+    return trace, seen[s], len(seen)
+
+
+def reference_lasso(a: DetAutomaton, w: LassoWord) -> tuple[frozenset[int], int]:
+    """Inf set of the reference walk over `w`, and its anchor count."""
+    s = run(a, a.initial, w.prefix)
+    trace, start, anchors = reference_cycle(a, s, [a.symbol_index[t] for t in w.period])
+    return frozenset(trace[start:]), anchors
+
+
+class TestColumnWalkAgainstReference:
+    def test_random_lassos(self):
+        # Inf sets and both acceptance conditions agree with the reference
+        # walk.  The Buchi sets are a random set, its part outside the Inf
+        # set, and that part plus one Inf state.
+        rng = random.Random(23)
+        for _ in range(400):
+            a = random_automaton(rng, rng.randint(1, 12), rng.randint(1, 3))
+            w = random_lasso(rng, a.alphabet, 20, 20)
+            inf, _ = reference_lasso(a, w)
+            assert inf_set(a, w) == inf
+            s = rng.randrange(a.n_states)
+            period = [a.symbol_index[t] for t in w.period]
+            trace, start, _ = reference_cycle(a, s, period)
+            assert inf_from_state(a, s, period) == frozenset(trace[start:])
+            others = frozenset(rng.sample(range(a.n_states), rng.randint(0, a.n_states)))
+            table = MullerTable.of(others, inf) if rng.random() < 0.5 else MullerTable.of(others)
+            assert accepts_muller(a, table, w) == (inf in table.entries)
+            for acc in (others, others - inf, frozenset(rng.sample(sorted(inf), 1)) | (others - inf)):
+                assert accepts_buchi(a, BuchiSet(acc), w) == (not acc.isdisjoint(inf))
+
+    def test_buchi_visit_only_on_a_tail_anchors_read(self):
+        # a takes 0 to the accepting 1, then to the cycle 2 <-> 3: the read
+        # of (aa) from anchor 0 meets 1, the reads from anchor 2 never do.
+        a = DetAutomaton(("a",), 4, 0, [1, 2, 3, 2])
+        w = LassoWord("", "aa")
+        assert reference_lasso(a, w) == (frozenset({2, 3}), 2)
+        assert not accepts_buchi(a, BuchiSet.of(1), w)
+        assert accepts_buchi(a, BuchiSet.of(3), w)
+
+    def test_buchi_visit_only_mid_period_on_the_cycle(self):
+        # (ab) from the anchor 0 passes the accepting 1 after one letter and
+        # comes back to 0; no anchor is accepting.
+        a = DetAutomaton(("a", "b"), 3, 0, [1, 2, 2, 0, 2, 2])
+        w = LassoWord("", "ab")
+        assert reference_lasso(a, w) == (frozenset({0, 1}), 1)
+        assert accepts_buchi(a, BuchiSet.of(1), w)
+        assert not accepts_buchi(a, BuchiSet.of(2), w)
+
+    def test_buchi_on_a_covering_lasso_with_many_anchors(self):
+        rng = random.Random(0)
+        a = random_automaton(rng, 400, 2)
+        scc = max(analyze(a).terminal_sccs, key=len)
+        tr = muller_to_buchi_maximal(a, MullerTable.of(scc))
+        b = tr.automaton
+        w = loop_lasso(a, scc)
+        inf, anchors = reference_lasso(b, w)
+        assert anchors >= 100
+        assert inf_set(b, w) == inf
+        assert accepts_buchi(b, tr.accepting, w)
+        assert not tr.accepting.accepting.isdisjoint(inf)
+        for q in rng.sample(range(b.n_states), 40):
+            assert accepts_buchi(b, BuchiSet.of(q), w) == (q in inf)
 
 
 class TestInfFromStateArguments:

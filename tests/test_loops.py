@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -190,8 +191,9 @@ class TestIsLoop:
 
     def test_scc_entries_skip_the_bitmask_test(self):
         # Given an analysis, a set equal to an SCC is decided by its size
-        # and self-transition, without local masks; any other set, and any
-        # call without an analysis, takes the bitmask test.  All agree.
+        # and self-transition, without a walk; any other set, and any call
+        # without an analysis, takes the forward and backward walks.  All
+        # agree.
         rng = random.Random(43)
         for _ in range(60):
             n = rng.randint(1, 9)
@@ -204,8 +206,48 @@ class TestIsLoop:
                 if an.scc_id_of_set(z) is None:
                     assert is_loop(a, z, an) == expected, (a, sorted(z))
                     continue
-                with mock.patch.object(loops, "local_masks", side_effect=AssertionError):
+                with mock.patch.object(loops, "level_order", side_effect=AssertionError), \
+                        mock.patch.object(loops, "_reaches_back", side_effect=AssertionError):
                     assert is_loop(a, z, an) == expected, (a, sorted(z))
+
+
+def mask_is_loop(a: DetAutomaton, z: frozenset[int]) -> bool:
+    """Reference loop test by bitmask closures: nonempty, reachable, and
+    strongly connected by `_strongly_connected` over `local_masks`, which
+    take Θ(|z|²) bits."""
+    if not z or z.isdisjoint(analyze(a).reachable):
+        return False
+    succ, pred = loops.local_masks(a, sorted(z))
+    return loops._strongly_connected(succ, pred, (1 << len(z)) - 1)
+
+
+class TestIsLoopWalks:
+    def test_agrees_with_the_bitmask_test(self):
+        # Random sets, most of them no loop, with and without an analysis
+        # (which decides a set equal to an SCC by its size).
+        rng = random.Random(47)
+        for _ in range(3000):
+            n = rng.randint(1, 12)
+            a = random_automaton(rng, n, rng.randint(1, 3))
+            an = analyze(a)
+            z = frozenset(rng.sample(range(n), rng.randint(1, n)))
+            expected = mask_is_loop(a, z)
+            assert is_loop(a, z) == expected, (a, sorted(z))
+            assert is_loop(a, z, an) == expected, (a, sorted(z))
+
+    def test_peak_memory_linear_on_a_cycle_minus_one_state(self):
+        # The forward walk reaches the whole set, and nothing in it reaches
+        # back to its first state.
+        k = 30_000
+        a = DetAutomaton(("a",), k, 0, [(s + 1) % k for s in range(k)])
+        z = frozenset(range(1, k))
+        tracemalloc.start()
+        try:
+            assert not is_loop(a, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / k < 400
 
 
 class TestEnumerateLoops:
