@@ -294,7 +294,7 @@ class _LineParser:
                             f"no transition for state {s} on symbol {tok!r}", eof
                         )
             table = array(
-                "q", [trans[s, x] for s in range(n_states) for x in range(len(alphabet))]
+                "i", [trans[s, x] for s in range(n_states) for x in range(len(alphabet))]
             )
         automaton = DetAutomaton(
             alphabet=alphabet, n_states=n_states, initial=initial, delta=table
@@ -381,9 +381,10 @@ def _read_canonical(blocks: Iterator[str]) -> _Parsed | None:
                 return None
         return parser.result(None, table)
     except (FormatError, ValueError, OverflowError):
-        # A line the line parser rejects, a target that is not an integer or
-        # not in range (BadStateIndex from DetAutomaton), a line break other
-        # than newline, or bytes that are not UTF-8 (a ValueError).
+        # A line the line parser rejects, a target that is not an integer,
+        # past a C int (OverflowError from the table) or not in range
+        # (BadStateIndex from DetAutomaton), a line break other than
+        # newline, or bytes that are not UTF-8 (a ValueError).
         return None
 
 
@@ -407,7 +408,7 @@ def _read_trans(text: _Cursor, alphabet: tuple[str, ...], n_states: int) -> arra
     # Characters of the longest line "trans <src> <symbol> <target>\n" but
     # for its source state.
     widest = 9 + max(map(len, alphabet)) + len(str(n_states - 1))
-    table = array("q")
+    table = array("i")
     for first in range(0, n_states, _CHUNK_STATES):
         stop = min(first + _CHUNK_STATES, n_states)
         count = r * (stop - first)

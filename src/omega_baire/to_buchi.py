@@ -23,6 +23,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from heapq import nsmallest
 from itertools import accumulate, chain, compress
 from typing import Iterator
 
@@ -44,12 +45,19 @@ _PRUNE_ROWS = 1 << 12
 # slower, the mask alone up to 11%.
 _WIDE_LEVEL = 16
 # Largest unpruned output, in (state, symbol) cells, that the translation
-# builds.  `to-buchi` peaks at 28-33 B per cell end to end (160 MiB for 2.58M
-# states at n=2000 and 2 letters, 148 MiB for 1.39M at 4 letters); at 35 B,
-# half of an 8 GB machine holds 4 GiB / 35 B = 123M cells: 61M states at 2
-# letters, about n=9800 by quadratic growth (n=8000: 41M states, 2.7 GB).  The
-# other half is headroom for the interpreter, the writer and other processes.
+# builds.  With 4-byte tables `to-buchi` peaks at about 18 B per cell end to
+# end (93.3 MiB for 2.64M unpruned states at n=2000 and 2 letters, 93.3 MiB
+# for 1.37M at n=1200 and 4 letters, random tables from random.Random(5));
+# with 8-byte ones it took 26-31 B (153.5 and 138.1 MiB).  The budget keeps
+# the 35 B measured then, until a run near it is measured: half of an 8 GB
+# machine holds 4 GiB / 35 B = 123M cells, 61M states at 2 letters, about
+# n=9800 by quadratic growth (n=8000: 41M states).  The other half is
+# headroom for the interpreter, the writer and other processes.  Below 2**31
+# cells, every state number fits the tables' C ints.
 MAX_TRANSLATION_CELLS = 4 * 2**30 // 35
+# Entries of a kind, and states of an entry, that `MaximalLoopReport.describe`
+# lists before it gives only their count.
+_LISTED = 10
 
 
 @dataclass(frozen=True)
@@ -69,8 +77,12 @@ class MaximalLoopReport:
         return self.ok
 
     def describe(self) -> str:
+        """One line naming the rejected and the dropped entries.  Past
+        `_LISTED` entries of a kind, or states of an entry, the rest is
+        left out and the count given, so the line stays short for any
+        table."""
         parts = [
-            f"{label}: " + " ".join("{" + ",".join(map(str, sorted(z))) + "}" for z in sets)
+            f"{label}: " + _describe_sets(sets)
             for label, sets in (
                 ("non-maximal loop entries", self.non_maximal),
                 ("dropped non-loop entries", self.non_loops),
@@ -78,6 +90,21 @@ class MaximalLoopReport:
             if sets
         ]
         return "; ".join(parts) if parts else "all loop entries are maximal"
+
+
+def _describe_sets(sets: Sequence[frozenset[int]]) -> str:
+    """`{1,2} {4}`, or `{1,2,...} (N states)` for a set of more than
+    `_LISTED` states, and `... (N entries)` after the first `_LISTED` sets."""
+    shown = []
+    for z in sets[:_LISTED]:
+        if len(z) <= _LISTED:
+            shown.append("{" + ",".join(map(str, sorted(z))) + "}")
+        else:
+            first = ",".join(map(str, nsmallest(_LISTED, z)))
+            shown.append(f"{{{first},...}} ({len(z)} states)")
+    if len(sets) > _LISTED:
+        shown.append(f"... ({len(sets)} entries)")
+    return " ".join(shown)
 
 
 def check_maximal_loops(
@@ -243,20 +270,20 @@ def _layered_delta_numpy(
 
     n = a.n_states
     r = len(a.alphabet)
-    delta2d = np.asarray(a.delta, dtype=np.int64).reshape(n, r)
-    block_np = np.asarray(block_of, dtype=np.int64)
-    rank_np = np.asarray(rank0, dtype=np.int64)
-    first_np = np.asarray(first_of, dtype=np.int64)
+    delta2d = np.frombuffer(a.delta, dtype=np.intc).reshape(n, r)
+    block_np = np.asarray(block_of, dtype=np.intc)
+    rank_np = np.asarray(rank0, dtype=np.intc)
+    first_np = np.asarray(first_of, dtype=np.intc)
 
-    flat = np.empty((total, r), dtype=np.int64)
+    flat = np.empty((total, r), dtype=np.intc)
     flat[:n] = np.where(first_np[delta2d] >= 0, first_np[delta2d], delta2d)
     for bi, members in enumerate(orderings):
         k = len(members)
         off = offsets[bi]
-        member_targets = delta2d[np.asarray(members, dtype=np.int64)]
+        member_targets = delta2d[np.asarray(members)]
         in_block = block_np[member_targets] == bi
         ranks = rank_np[member_targets]
-        j = np.arange(1, k, dtype=np.int64).reshape(-1, 1, 1)
+        j = np.arange(1, k, dtype=np.intc).reshape(-1, 1, 1)
         layers = flat[off : off + (k - 1) * k].reshape(k - 1, k, r)
         layers[...] = member_targets
         np.add(off + (j - 1) * k, ranks, out=layers, where=in_block)
@@ -277,7 +304,7 @@ def _prune_python(flat: list[int], r: int, seeds: list[int]):
     seen = bytearray(total)
     for s, _, _ in level_order(flat, r, seeds[0]):
         seen[s] = 1
-    kept = array("q", compress(range(total), seen))
+    kept = array("i", compress(range(total), seen))
     cells = bytearray(len(flat))
     for x in range(r):
         cells[x::r] = seen
@@ -311,7 +338,7 @@ def _prune_numpy(flat2d, r: int, seeds: list[int]):
     Row gathers use `take`, which is much faster than fancy indexing on a
     two-column table.  The stamp's memory becomes the renumbering map, the
     running count of kept states.  The renumbered table and the kept states
-    are written a slice of rows at a time straight into the int64 arrays
+    are written a slice of rows at a time straight into the C int arrays
     that the automaton and its origins keep, so nothing is copied after the
     walk and the peak holds the two tables, the kept states, the map and
     the visited mask.  Each large block the heap does not have to place is
@@ -321,9 +348,9 @@ def _prune_numpy(flat2d, r: int, seeds: list[int]):
 
     total = len(flat2d)
     visited = np.zeros(total, dtype=bool)
-    frontier = np.array(seeds, dtype=np.int64)
+    frontier = np.array(seeds, dtype=np.intc)
     visited[frontier] = True
-    stamp = np.empty(total, dtype=np.int64)
+    stamp = np.empty(total, dtype=np.intc)
     while frontier.size:
         nxt = flat2d.take(frontier, axis=0).ravel()
         if nxt.size * _WIDE_LEVEL >= total:
@@ -334,19 +361,19 @@ def _prune_numpy(flat2d, r: int, seeds: list[int]):
             continue
         nxt = nxt[~visited[nxt]]
         if nxt.size > 1:
-            positions = np.arange(nxt.size)
+            positions = np.arange(nxt.size, dtype=np.intc)
             stamp[nxt] = positions
             nxt = nxt[stamp[nxt] == positions]
         visited[nxt] = True
         frontier = nxt
-    renumber = np.cumsum(visited, dtype=np.int64, out=stamp)
+    renumber = np.cumsum(visited, dtype=np.intc, out=stamp)
     del stamp
     size = int(renumber[-1])
     renumber -= 1
-    table = array("q", [0]) * (size * r)
-    kept = array("q", [0]) * size
-    table_np = np.frombuffer(table, dtype=np.int64).reshape(size, r)
-    kept_np = np.frombuffer(kept, dtype=np.int64)
+    table = array("i", [0]) * (size * r)
+    kept = array("i", [0]) * size
+    table_np = np.frombuffer(table, dtype=np.intc).reshape(size, r)
+    kept_np = np.frombuffer(kept, dtype=np.intc)
     at = 0
     for lo in range(0, total, _PRUNE_ROWS):
         rows = np.flatnonzero(visited[lo : lo + _PRUNE_ROWS])

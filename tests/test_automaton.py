@@ -16,18 +16,20 @@ from omega_baire import (
     accepts_buchi,
     accepts_muller,
     analyze,
+    build_open_witness,
     inf_set,
     is_loop,
     loop_lasso,
     muller_to_buchi_maximal,
     parse_automaton,
+    product,
     run,
     serialize_automaton,
     step,
 )
 from omega_baire import automaton
 from omega_baire.automaton import inf_from_state
-from conftest import brute_inf_set, chain_plus_random, random_automaton, random_lasso
+from conftest import brute_inf_set, chain_plus_random, pinned_kernel, random_automaton, random_lasso
 
 
 class TestDetAutomaton:
@@ -37,7 +39,9 @@ class TestDetAutomaton:
 
     def test_validation_rejects_bad_target(self):
         for container in (list, tuple, lambda d: array("q", d)):
-            for delta in ((0, 5), (0, 2), (-1, 1)):
+            # Past a C int too: an OverflowError of the table is reported
+            # as the target out of range it is.
+            for delta in ((0, 5), (0, 2), (-1, 1), (0, 2**31), (0, 2**40), (-(2**31) - 1, 0)):
                 with pytest.raises(BadStateIndex, match="transition target out of range"):
                     DetAutomaton(alphabet=("a",), n_states=2, initial=0, delta=container(delta))
 
@@ -111,6 +115,47 @@ class TestDetAutomaton:
         other = DetAutomaton(alphabet=("a", "b"), n_states=2, initial=0, delta=[0, 1, 0, 1])
         assert other == ex1
         assert hash(other) == hash(ex1)
+
+    @pytest.mark.parametrize(
+        "bad, dtype",
+        [(2**31, "int64"), (2**32, "int64"), (2**40, "int64"), (2**64 - 1, "uint64"), (-1, "int64")],
+    )
+    def test_numpy_targets_past_a_c_int_rejected(self, bad, dtype):
+        # Checked before the cast to C ints, which would wrap them
+        # silently: 2**32 would become the valid target 0.
+        np = pytest.importorskip("numpy")
+        delta = np.array([0, bad], dtype=dtype)
+        with pytest.raises(BadStateIndex, match="transition target out of range"):
+            DetAutomaton(alphabet=("a",), n_states=2, initial=0, delta=delta)
+
+    def test_more_states_than_a_c_int_rejected(self):
+        # Rejected before the table's size is checked, so the test needs no
+        # table of 2**31 cells.
+        assert automaton.MAX_STATES == 2**31 - 1
+        with pytest.raises(ValueError, match="more than 2147483647 states"):
+            DetAutomaton(alphabet=("a",), n_states=2**31, initial=0, delta=[0])
+
+    def test_every_constructor_stores_c_ints(self, ex1, ex3):
+        # One table type everywhere: 4-byte C ints, whatever the source.
+        np = pytest.importorskip("numpy")
+        d = [1, 0, 0, 1]
+        sources = [d, tuple(d), array("q", d), np.array(d), np.array(d, dtype=np.intc).reshape(2, 2)]
+        built = [DetAutomaton(alphabet=("a", "b"), n_states=2, initial=0, delta=x) for x in sources]
+        text = serialize_automaton(ex3, MullerTable.of({0, 1}))
+        built.append(parse_automaton(text)[0])
+        # Transitions out of order take the line parser.
+        lines = text.splitlines()
+        built.append(parse_automaton("\n".join(lines[:4] + lines[4:8][::-1] + lines[8:]))[0])
+        assert built[-1] == built[-2] == ex3
+        t = MullerTable.of({0, 1})
+        for use_numpy in (False, True):
+            with pinned_kernel(use_numpy):
+                built.append(muller_to_buchi_maximal(ex3, t).automaton)
+                built.append(muller_to_buchi_maximal(ex3, t, prune=False).automaton)
+        built.append(product(ex3, ex1).automaton)
+        built.append(build_open_witness(ex3, t).automaton)
+        for a in built:
+            assert a.delta.typecode == "i" and a.delta.itemsize == 4
 
 
 class TestRunSemantics:

@@ -177,6 +177,9 @@ class TestParse:
         # a negative number is an integer, and out of range
         ("initial 0", "initial -1", 3, "initial state -1 out of range"),
         ("trans 0 b 1", "trans 0 b -1", 6, "target state -1 out of range"),
+        # past a C int: a doubt for the bulk reader, out of range for the line parser
+        ("trans 0 b 1", "trans 0 b 2147483648", 6, "target state 2147483648 out of range"),
+        ("trans 0 b 1", "trans 0 b 4294967296", 6, "target state 4294967296 out of range"),
     ],
 )
 def test_integers_are_ascii_digits_with_an_optional_minus(old, new, line, message):

@@ -495,9 +495,9 @@ def test_python_kernel_peak_memory_per_output_state():
     # The chain-plus-random SCC at n=180: 65,160 cells, just below
     # `VECTORIZE_THRESHOLD`, 31,572 output states, on the Python kernel
     # (pinned, since numpy may already be imported).  The traced peak is
-    # about 153 B per output state, reached when the prune has built the
+    # about 149 B per output state, reached when the prune has built the
     # renumbered table: it holds the unpruned table (about 82 B), the
-    # renumbering map (about 40 B), the kept states (8 B) and the new table
+    # renumbering map (about 40 B), the kept states (4 B) and the new table
     # (about 18 B).  The walk marks states in a bytearray, with no parent links.
     n = 180
     a = chain_plus_random(n)
@@ -517,10 +517,10 @@ def test_python_kernel_peak_memory_per_output_state():
 
 def test_translation_peak_memory_per_output_state():
     # One 400-state SCC, about 158k output states on the numpy kernel.  At
-    # its traced peak the prune holds the unpruned and the pruned table (16 B
+    # its traced peak the prune holds the unpruned and the pruned table (8 B
     # a state each at two letters), the kept list, the renumbering map and
-    # the visited mask: about 51 B per output state.  One more array of 8 B a
-    # state at the peak, such as a copy of the kept list, would pass 53 B.
+    # the visited mask: about 26.4 B per output state.  One more array of 4 B
+    # a state at the peak, such as a copy of the kept list, would pass 30 B.
     import numpy  # noqa: F401  (imported here so that its import is not traced)
 
     n = 400
@@ -534,4 +534,54 @@ def test_translation_peak_memory_per_output_state():
     finally:
         tracemalloc.stop()
     assert tr.unpruned_state_count * len(a.alphabet) >= to_buchi.VECTORIZE_THRESHOLD
-    assert peak / tr.automaton.n_states < 53
+    assert peak / tr.automaton.n_states < 30
+
+
+def test_numpy_translation_peak_memory_per_unpruned_cell():
+    # Every table is C ints, 4 B a cell: the numpy translation of the
+    # chain-plus-random SCC at n=300 (180,600 unpruned cells) peaks at about
+    # 13.4 B per unpruned cell traced, against 25.3 B with 8-byte tables.
+    import numpy  # noqa: F401  (imported here so that its import is not traced)
+
+    n = 300
+    a = chain_plus_random(n)
+    t = MullerTable.of(range(n))
+    analysis = analyze(a)
+    tracemalloc.start()
+    try:
+        with pinned_kernel(True):
+            tr = muller_to_buchi_maximal(a, t, analysis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.automaton.delta.typecode == "i" and tr.origin._kept.typecode == "i"
+    assert peak / (tr.unpruned_state_count * len(a.alphabet)) <= 18
+
+
+def test_translation_cells_fit_a_c_int():
+    # Every state number and cell index of a translation the budget admits
+    # fits the 4-byte C ints of the tables.
+    assert to_buchi.MAX_TRANSLATION_CELLS < 2**31
+
+
+def test_long_entries_abbreviated_in_the_diagnostic():
+    # A 30,000-cycle on a whose b goes back to 0: the cycle less its last
+    # state is a loop but not an SCC, and the cycle less state 1 is no loop.
+    # Each is given by its first states and its size, not its 29,999 states.
+    k = 30000
+    delta = [x for s in range(k) for x in ((s + 1) % k, 0)]
+    a = DetAutomaton(alphabet=("a", "b"), n_states=k, initial=0, delta=delta)
+    t = MullerTable.of(range(k - 1), set(range(k)) - {1})
+    with pytest.raises(PreconditionViolated) as err:
+        muller_to_buchi_maximal(a, t)
+    message = str(err.value)
+    assert len(message.encode()) < 1024
+    assert message == (
+        "non-maximal loop entries: {0,1,2,3,4,5,6,7,8,9,...} (29999 states); "
+        "dropped non-loop entries: {0,2,3,4,5,6,7,8,9,10,...} (29999 states)"
+    )
+    # Short lists of short entries read as before.
+    report = check_maximal_loops(a, MullerTable.of({1}, {2, 3}))
+    assert report.describe() == "dropped non-loop entries: {1} {2,3}"
+    many = check_maximal_loops(a, MullerTable.of(*({s} for s in range(1, 13))))
+    assert many.describe().endswith("{9} {10} ... (12 entries)")
