@@ -45,7 +45,7 @@ from array import array
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .automaton import BuchiSet, DetAutomaton, LassoWord, MullerTable
+from .automaton import MAX_STATES, BuchiSet, DetAutomaton, LassoWord, MullerTable
 from .errors import (
     BadHeader,
     BadStateIndex,
@@ -222,6 +222,8 @@ class _LineParser:
                 self.n_states = _parse_int(tokens[1], "state count", lineno)
                 if self.n_states < 1:
                     raise BadHeader("state count must be at least 1", lineno)
+                if self.n_states > MAX_STATES:
+                    raise BadHeader(f"state count must be at most {MAX_STATES}", lineno)
             elif key == "initial":
                 if len(tokens) != 2:
                     raise BadHeader("initial line takes exactly one state", lineno)

@@ -205,7 +205,7 @@ def cyclic_sccs(
             yield comp
 
 
-def local_masks(a: DetAutomaton, members: Sequence[int]) -> tuple[list[int], list[int]]:
+def _local_masks(a: DetAutomaton, members: Sequence[int]) -> tuple[list[int], list[int]]:
     """Successor and predecessor bitmasks of the subgraph induced by
     `members`: bit j of succ[i] (and bit i of pred[j]) is set iff some symbol
     maps members[i] to members[j]."""
@@ -228,7 +228,7 @@ def local_masks(a: DetAutomaton, members: Sequence[int]) -> tuple[list[int], lis
 
 def _strongly_connected(succ: list[int], pred: list[int], mask: int) -> bool:
     """Strong connectivity of the subgraph induced by the nonempty `mask`
-    over local masks from `local_masks`: its lowest bit reaches every bit
+    over local masks from `_local_masks`: its lowest bit reaches every bit
     forward and backward inside `mask` (the frontier is taken from its top
     bit, which keeps the ints short); a singleton needs a self-transition."""
     low = mask & -mask
@@ -324,7 +324,7 @@ def scc_loops(a: DetAutomaton, scc: frozenset[int]) -> Iterator[frozenset[int]]:
     sorted members."""
     members = sorted(scc)
     k = len(members)
-    succ, pred = local_masks(a, members)
+    succ, pred = _local_masks(a, members)
     for mask in range(1, 1 << k):
         if _strongly_connected(succ, pred, mask):
             yield frozenset(members[i] for i in range(k) if mask >> i & 1)

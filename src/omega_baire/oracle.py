@@ -14,7 +14,10 @@ its projections, whether the SCC can hold a violating loop, and enumerates
 loops only in the SCCs those facts leave open, in the same order as
 `iter_loops`, so it reports the same first loop.  Every counterexample
 either route reports is re-verified by direct acceptance evaluation before
-it is returned.
+it is returned.  The exact check behind `b2-language` enumerates no loops
+either: per table block and required state z*, one level-order walk from
+each accepting product state, linear in the block's product region, tells
+whether that state lies on a cycle avoiding z*.
 
 The checks of `verify_baire_witness`, in report order, with the budgets
 that can make them skip in brackets (F input, E open witness, F' meagre):
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Collection
 
 from .automaton import (
     BuchiSet,
@@ -56,7 +59,6 @@ from .loops import (
     is_loop,
     iter_loops,
     level_order,
-    local_masks,
     loop_candidates,
     scc_loops,
     self_loop_symbol,
@@ -289,19 +291,13 @@ def language_subset_oracle(
 # Exact equivalence: maximal-loop Muller vs Buchi
 
 
-def _on_cycle(succ: list[int], allowed: int, h: int) -> bool:
-    """Whether local state `h` lies on a cycle inside the `allowed` mask over
-    successor masks from `local_masks`: the forward closure from its
-    successors in `allowed` comes back to it."""
-    target = 1 << h
-    seen = frontier = succ[h] & allowed
-    while frontier and not seen & target:
-        i = frontier.bit_length() - 1
-        frontier ^= 1 << i
-        new = succ[i] & allowed & ~seen
-        seen |= new
-        frontier |= new
-    return seen & target != 0
+def _on_cycle(a: DetAutomaton, h: int, allowed: set[int]) -> bool:
+    """Whether state `h` lies on a cycle inside `allowed`: some state that
+    the level-order walk from `h` reaches inside `allowed` has `h` as a
+    successor."""
+    r = len(a.alphabet)
+    delta = a.delta
+    return any(h in delta[s * r : s * r + r] for s, _, _ in level_order(delta, r, h, allowed))
 
 
 def maximal_muller_buchi_equiv(
@@ -322,12 +318,13 @@ def maximal_muller_buchi_equiv(
     SCC), or a loop that covers a whole table block while avoiding the
     Buchi set.
 
-    The member family is decided on the group's int successor masks: a
-    cyclic SCC of the group minus z* holds a hit iff some hit state lies
-    on a cycle there, which one forward closure per hit tells.  Only the
-    first z* that succeeds gets its SCC pass, which finds the same SCC and
-    so the same lasso as a pass per member would; a group over a non-table
-    SCC is passed over when it holds no hit.  So a correct layered
+    The member family is decided by level-order walks: a cyclic SCC of the
+    group minus z* holds a hit iff some hit state lies on a cycle there,
+    which one `level_order` walk from the hit inside the group minus z*
+    tells, in O(|group|·|X|) time and memory.  Only the first z* that
+    succeeds gets its SCC pass, which finds the same SCC and so the same
+    lasso as a pass per member would; a group over a non-table SCC is
+    passed over when it holds no hit.  So a correct layered
     translation, whose accepting states all lie over table blocks, costs
     one SCC pass per block.
     """
@@ -347,7 +344,7 @@ def maximal_muller_buchi_equiv(
     for p in range(P.n_states):
         by_scc.setdefault(analysisA.scc_of[left[p]], []).append(p)
 
-    def first_violation(sub: list[int], want: Callable[[frozenset[int]], bool]):
+    def first_violation(sub: Collection[int], want: Callable[[frozenset[int]], bool]):
         return next((c for c in cyclic_sccs(P, sub) if want(c)), None)
 
     def holds_hit(c: frozenset[int]) -> bool:
@@ -357,19 +354,18 @@ def maximal_muller_buchi_equiv(
         region = by_scc[d]
         scc_set = analysisA.sccs[d]
         if scc_set in blocks:
-            hits = [i for i, p in enumerate(region) if hit[p]]
+            hits = [p for p in region if hit[p]]
             if hits and len(scc_set) > 1:  # a one-state block minus z* is empty
-                succ, _ = local_masks(P, region)
-                over: dict[int, int] = {}  # z* -> mask of the states over it
-                for i, p in enumerate(region):
-                    over[left[p]] = over.get(left[p], 0) | 1 << i
-                full = (1 << len(region)) - 1
+                over: dict[int, list[int]] = {z: [] for z in scc_set}  # the states over z
+                for p in region:
+                    over[left[p]].append(p)
+                allowed = set(region)
                 for z_star in sorted(scc_set):
-                    allowed = full & ~over.get(z_star, 0)
-                    if any(allowed >> h & 1 and _on_cycle(succ, allowed, h) for h in hits):
-                        sub = [p for p in region if left[p] != z_star]
-                        z = first_violation(sub, holds_hit)
+                    allowed.difference_update(over[z_star])
+                    if any(h in allowed and _on_cycle(P, h, allowed) for h in hits):
+                        z = first_violation(allowed, holds_hit)
                         return _checked_verdict(aB, b, aA, t, loop_lasso(P, z))
+                    allowed.update(over[z_star])
             sub = [p for p in region if not hit[p]]
             classes = frozenset(scc_set)
             z = first_violation(

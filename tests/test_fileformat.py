@@ -30,6 +30,7 @@ from omega_baire import (
     serialize_automaton,
 )
 from omega_baire import fileformat
+from omega_baire.automaton import MAX_STATES
 from omega_baire.fileformat import (
     _CHUNK_STATES,
     _parse_general,
@@ -646,6 +647,23 @@ def test_reserved_symbol_token_is_a_header_error():
     with pytest.raises(BadHeader) as exc:
         parse_automaton(EX1_TEXT.replace("alphabet a b", "alphabet a b{"))
     assert exc.value.line == 1
+
+
+@pytest.mark.parametrize("count", [MAX_STATES + 1, 10**20])
+def test_state_count_past_max_states_is_a_header_error(tmp_path, count):
+    # Without the check at the header, this file would fail only at its end,
+    # with no transition for state 1.
+    text = f"alphabet a\nstates {count}\ninitial 0\nacc-type buchi\ntrans 0 a 0\naccept 0\n"
+    path = tmp_path / "big.aut"
+    path.write_text(text)
+    for parse, source in ((parse_automaton, text), (parse_automaton, text.encode()), (read_automaton, path)):
+        with pytest.raises(BadHeader) as exc:
+            parse(source)
+        assert exc.value.line == 2
+        assert str(exc.value) == f"line 2: state count must be at most {MAX_STATES}"
+    # At the limit itself, the header is accepted.
+    with pytest.raises(MissingTransition):
+        parse_automaton(text.replace(str(count), str(MAX_STATES)))
 
 
 def _lines(text: str) -> list[str]:

@@ -7,6 +7,7 @@ enumeration."""
 
 import dataclasses
 import random
+import tracemalloc
 from typing import Callable
 
 import pytest
@@ -20,6 +21,8 @@ from omega_baire import (
     MullerTable,
     PreconditionViolated,
     RandomSpec,
+    accepts_buchi,
+    accepts_muller,
     analyze,
     build_baire_witness,
     build_meagre_complement,
@@ -107,6 +110,17 @@ def instances(seed: int, count: int, max_states: int = 8):
             seed=rng.randrange(2**32),
         )
         yield (rng, *random_instance(spec))
+
+
+def family_meagre(n: int):
+    """The meagre complement of the n-state automaton of the at-scale
+    family (a uniform random 2-letter table from random.Random(5)) and its
+    layered translation.  At n=120 the complement's one block has 94 states
+    and the translation 8,676."""
+    rng = random.Random(5)
+    a = DetAutomaton(("a", "b"), n, 0, tuple(rng.randrange(n) for _ in range(2 * n)))
+    a2, t2 = build_meagre_complement(a)
+    return a2, t2, muller_to_buchi_maximal(a2, t2)
 
 
 def reports(monkeypatch, a, t, **kwargs):
@@ -219,6 +233,33 @@ def test_sabotaged_translation_same_verdict_as_reference():
     assert caught >= 60
 
 
+def test_layer_skip_at_scale_same_verdict_as_reference():
+    # One layered transition that stays in its layer is sent one layer up on
+    # the same base state, so a run can pass that layer without seeing its
+    # required state.  The product region of the 94-state block has 8,676
+    # states, and the member family is the part of the check that fails.
+    a2, t2, tr = family_meagre(120)
+    aB = tr.automaton
+    r = len(aB.alphabet)
+    state_of = {tr.origin[q]: q for q in range(aB.n_states)}
+    q, x, s, layer = max(
+        (q, x, *tr.origin[aB.delta[q * r + x]])
+        for q in range(aB.n_states)
+        for x in range(r)
+        if 0 < tr.origin[q][1] == tr.origin[aB.delta[q * r + x]][1]
+        and (tr.origin[aB.delta[q * r + x]][0], tr.origin[q][1] + 1) in state_of
+    )
+    delta = list(aB.delta)
+    delta[q * r + x] = state_of[s, layer + 1]
+    broken = dataclasses.replace(aB, delta=tuple(delta))
+    args = (a2, t2, broken, tr.accepting)
+    got = maximal_muller_buchi_equiv(*args, product_budget=1 << 14)
+    assert got == reference_equiv(*args, product_budget=1 << 14)
+    assert not got.holds
+    w = got.counterexample
+    assert accepts_buchi(broken, tr.accepting, w) and not accepts_muller(a2, t2, w)
+
+
 # ---------------------------------------------------------------------------
 # Sabotaged open witnesses: symdiff-loops must fail where the reference
 # fails, with the same witness.
@@ -301,6 +342,25 @@ def test_b2_language_one_scc_pass_per_block(monkeypatch):
         assert passes[0] == len(blocks)
         wide += any(len(c) > 1 for c in blocks)
     assert wide >= 20
+
+
+def test_b2_language_traced_peak_linear_in_product_states():
+    # At n=100 the product of the complement and its translation has 5,036
+    # states, all over one 72-state block.  Successor and predecessor
+    # bitmasks over that region, Θ(|region|²) bits, would put the traced
+    # peak near 1.3 KB per product state; the walks keep it near 360 B.
+    a2, t2, tr = family_meagre(100)
+    n_product = product(a2, tr.automaton, budget=1 << 14).automaton.n_states
+    tracemalloc.start()
+    try:
+        verdict = maximal_muller_buchi_equiv(
+            a2, t2, tr.automaton, tr.accepting, product_budget=1 << 14
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.holds
+    assert peak <= 1024 * n_product, peak / n_product
 
 
 def test_symdiff_loops_tests_no_subset(monkeypatch):

@@ -213,11 +213,11 @@ class TestIsLoop:
 
 def mask_is_loop(a: DetAutomaton, z: frozenset[int]) -> bool:
     """Reference loop test by bitmask closures: nonempty, reachable, and
-    strongly connected by `_strongly_connected` over `local_masks`, which
+    strongly connected by `_strongly_connected` over `_local_masks`, which
     take Θ(|z|²) bits."""
     if not z or z.isdisjoint(analyze(a).reachable):
         return False
-    succ, pred = loops.local_masks(a, sorted(z))
+    succ, pred = loops._local_masks(a, sorted(z))
     return loops._strongly_connected(succ, pred, (1 << len(z)) - 1)
 
 
