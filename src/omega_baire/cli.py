@@ -32,6 +32,7 @@ from .errors import (
 )
 from .fileformat import (
     format_lasso,
+    parse_integer,
     parse_lasso_text,
     read_automaton,
     serialize_chunks,
@@ -260,12 +261,22 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
+def _integer(text: str) -> int:
+    """argparse type for an int written as a file writes one
+    (`parse_integer`), so that '٢', '1_0' or ' 1' is a usage error (exit 2)
+    instead of a silently coerced run."""
+    value = parse_integer(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+    return value
+
+
 def _at_least(lo: int):
-    """argparse type for an int no smaller than `lo`, so that a smaller value
-    is a usage error (exit 2) instead of a silently coerced run."""
+    """argparse type for an `_integer` no smaller than `lo`, so that a
+    smaller value is a usage error too."""
 
     def integer(text: str) -> int:
-        value = int(text)
+        value = _integer(text)
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
         return value
@@ -326,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--states", type=_at_least(2), default=5)
     p.add_argument("--alphabet", type=_at_least(1), default=2)
     p.add_argument("--trials", type=_at_least(1), default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--entries", type=_at_least(0), default=4)
     p.add_argument("--lasso-bound", type=_at_least(1), default=8)
     p.add_argument("--loop-budget", type=_at_least(0), default=DEFAULT_ENUMERATION_BUDGET)

@@ -69,15 +69,24 @@ _LAYERED_COMMENT = "# state %d: layered (%d, %d)\n"
 _Parsed = tuple[DetAutomaton, MullerTable | BuchiSet]
 
 
-def _parse_int(token: str, what: str, line: int, exc=BadHeader) -> int:
-    """ASCII digits with an optional leading '-'; `int` alone would also
-    take '+', '_', spaces and non-ASCII digits."""
-    try:
-        if token.isascii() and token.removeprefix("-").isdigit():
+def parse_integer(token: str) -> int | None:
+    """`token` as an int if it is written as every integer of a file, and of
+    a command-line option, must be: ASCII digits with an optional leading
+    '-'; else None.  `int` alone would also take '+', '_', spaces and
+    non-ASCII digits."""
+    if token.isascii() and token.removeprefix("-").isdigit():
+        try:
             return int(token)
-    except ValueError:  # more digits than `int` converts
-        pass
-    raise exc(f"{what} must be an integer, got {token!r}", line)
+        except ValueError:  # more digits than `int` converts
+            pass
+    return None
+
+
+def _parse_int(token: str, what: str, line: int, exc=BadHeader) -> int:
+    value = parse_integer(token)
+    if value is None:
+        raise exc(f"{what} must be an integer, got {token!r}", line)
+    return value
 
 
 def _parse_groups(payload: str, line: int) -> list[frozenset[int]]:

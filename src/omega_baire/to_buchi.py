@@ -6,8 +6,17 @@ stack of sweep layers that advance only when the run visits the block's
 states in a fixed order, so the top layer recurs exactly when the run visits
 the whole block infinitely often.  Layer 0 tracks the original automaton.
 
+Pruning keeps the states the initial state reaches.  Which they are is a
+property of each block's own graph: layer j < k of a k-state block keeps
+the members the block reaches from member j - 1 without entering member j,
+the top layer keeps only its corner, and layer 0 keeps what the initial
+state, the targets that leave a block and the targets of the top corners
+reach without entering a first member.
+
 The table is built by one of two kernels that build the same automaton: a
-numpy one and a pure-Python one.  `_numpy_kernel` picks numpy from
+numpy one and a pure-Python one.  The numpy kernel prunes by that rule, all
+layers of a block at once; the Python kernel walks the grid from the
+initial state, the independent route.  `_numpy_kernel` picks numpy from
 `VECTORIZE_THRESHOLD` output cells on, importing it if need be, and from
 the much smaller `automaton.numpy_if_loaded` crossover on once numpy is
 already imported; below both, Python.  So a process that has not loaded
@@ -24,7 +33,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from heapq import nsmallest
-from itertools import accumulate, chain, compress
+from itertools import accumulate, compress
 from typing import Iterator
 
 from .automaton import BuchiSet, DetAutomaton, MullerTable, numpy_if_loaded
@@ -38,12 +47,6 @@ from .loops import SccAnalysis, analyze, is_loop, level_order
 VECTORIZE_THRESHOLD = 1 << 16
 # Rows of the layered table the numpy prune renumbers per slice.
 _PRUNE_ROWS = 1 << 12
-# A prune level with one target per this many table states or more is walked
-# by the visited mask, a narrower one by the stamp.  Over cut-offs 4..64 the
-# numpy translation of random 2-letter n=250/2000 inputs, the bench ladder and
-# chain_plus_random is fastest at 8..32, within 5%; the stamp alone is 9-41%
-# slower, the mask alone up to 11%.
-_WIDE_LEVEL = 16
 # Largest unpruned output, in (state, symbol) cells, that the translation
 # builds.  With 4-byte tables `to-buchi` peaks at about 18 B per cell end to
 # end (93.3 MiB for 2.64M unpruned states at n=2000 and 2 letters, 93.3 MiB
@@ -292,17 +295,18 @@ def _layered_delta_numpy(
     return flat
 
 
-def _prune_python(flat: list[int], r: int, seeds: list[int]):
+def _prune_python(flat: list[int], r: int, initial: int):
     """Reachability over the layered table by one level-order walk from the
-    initial state `seeds[0]`.  The other seeds are reachable from it (see
-    `_prune_numpy`), and a walk in Python pays per state, not per level.
+    initial state: the independent route to the states that `_prune_numpy`
+    derives from each block's graph, and in Python a walk pays per state,
+    not per level.
 
     The walk's states are marked in `seen`; the kept cells are picked by a
     mask repeating `seen` once per symbol, and each target is renumbered by
     the running count of kept states before it."""
     total = len(flat) // r
     seen = bytearray(total)
-    for s, _, _ in level_order(flat, r, seeds[0]):
+    for s, _, _ in level_order(flat, r, initial):
         seen[s] = 1
     kept = array("i", compress(range(total), seen))
     cells = bytearray(len(flat))
@@ -312,60 +316,98 @@ def _prune_python(flat: list[int], r: int, seeds: list[int]):
     return list(map(renumber.__getitem__, compress(flat, cells))), kept
 
 
-def _prune_numpy(flat2d, r: int, seeds: list[int]):
-    """Reachability over the layered table, frontier-vectorized from all
-    `seeds` at once.  A level keeps one copy of each state: the position
-    whose stamp survives.  A wide level (`_WIDE_LEVEL`) instead marks all
-    its targets and reads the new states off the visited mask, a pass of at
-    most `_WIDE_LEVEL` steps per target without the stamp's scattered
-    writes; a narrow level keeps the stamp, so a deep table stays linear.
+def _block_layers(k: int, src, dst):
+    """Entry [j - 1, q] of the (k - 1, k) bool result says whether layer j
+    of a k-member block keeps member q: whether the block graph, edges
+    `src -> dst` in ranks, reaches q from member j - 1 without entering
+    member j.  Member q holds one bit per layer, in uint64 words; a round
+    ORs into each row its predecessors' rows less the bit of the layer that
+    an edge into q promotes out of, until no row changes, so the rounds are
+    the depth of the deepest layer's walk.  Bits go in and out through one
+    byte view, so the words' byte order does not matter.  In a block of two
+    or more every member has an in-block predecessor, so each row is one
+    group of the edges sorted by target."""
+    import numpy as np
 
-    The seeds are the initial state and the entry corner of every layer,
-    `(members[j], j + 1)` for j = 0..k-1 of each block.  Every corner is
-    reachable from the initial state, so the walk finds exactly the states
-    a walk from the initial state alone would find:
+    i = np.arange(k - 1)
+    bits = np.zeros((k, -(-(k - 1) // 64) * 64), dtype=bool)
+    bits[i, i] = True  # member j - 1 is the corner of layer j
+    corner = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+    del bits
+    # An edge into member q promotes out of layer q, whose corner is q - 1;
+    # an edge into member 0 promotes out of layer 0, which has no bit.
+    keep = np.full_like(corner, ~np.uint64(0))
+    keep[1:] = ~corner[:-1]
+    order = np.argsort(dst, kind="stable")
+    src = src[order]
+    starts = np.searchsorted(dst[order], np.arange(k))
+    rows = corner
+    while True:
+        grown = np.bitwise_or.reduceat(rows.take(src, axis=0), starts)
+        grown &= keep
+        grown |= rows
+        if (grown == rows).all():
+            break
+        rows = grown
+    bits = np.unpackbits(rows.view(np.uint8), axis=1, count=k - 1, bitorder="little")
+    return bits.T.view(bool)
+
+
+def _prune_numpy(flat2d, a: DetAutomaton, orderings, offsets, block_of, rank0):
+    """Reachability over the layered table by the rule in the module
+    docstring: `_block_layers` for the layers below the top of each block,
+    its corner for the top layer, and for layer 0 one level-order walk over
+    at most |S| states.  The rule holds because every corner is reachable
+    from the initial state:
       * every block is a loop, so it is reachable, and it is an SCC, so once
         the run is in the block it can reach the block's first state; from
         layer 0, or already at layer 1, that is the layer-1 corner;
       * from the layer-j corner, a path inside the block to `members[j]`
         keeps layer j until it reaches `members[j]`, which promotes it to
         the layer-(j+1) corner.
-    A walk from the initial state alone needs about one level per layer,
-    since layer j+1 is only entered from layer j; from every corner, the
-    levels are those of the deepest single layer.  The seeds are distinct,
-    so they go in unsorted.
+    So every member is some layer's corner and every layer-0 seed the
+    target of a kept state.
 
     Row gathers use `take`, which is much faster than fancy indexing on a
-    two-column table.  The stamp's memory becomes the renumbering map, the
-    running count of kept states.  The renumbered table and the kept states
-    are written a slice of rows at a time straight into the C int arrays
-    that the automaton and its origins keep, so nothing is copied after the
-    walk and the peak holds the two tables, the kept states, the map and
+    two-column table.  The renumbered table and the kept states are written
+    a slice of rows at a time straight into the C int arrays that the
+    automaton and its origins keep, so nothing is copied after the prune and
+    the peak holds the two tables, the kept states, the renumbering map and
     the visited mask.  Each large block the heap does not have to place is
     one less way for the peak resident size of a process that translates
     again and again to depend on where the allocator put the last ones."""
     import numpy as np
 
+    n = a.n_states
+    r = len(a.alphabet)
     total = len(flat2d)
+    block_np = np.asarray(block_of, dtype=np.intc)
+    rank_np = np.asarray(rank0, dtype=np.intc)
     visited = np.zeros(total, dtype=bool)
-    frontier = np.array(seeds, dtype=np.intc)
+    seeds = [np.array([a.initial], dtype=np.intc)]
+    for bi, members in enumerate(orderings):
+        k = len(members)
+        top = offsets[bi] + (k - 1) * k
+        targets = flat2d[top : top + k]  # the top layer: the member targets
+        in_block = block_np[targets] == bi
+        seeds += [targets[~in_block], targets[-1]]
+        visited[top + k - 1] = True  # the top corner
+        if k > 1:
+            src = np.repeat(np.arange(k), r)[in_block.ravel()]
+            grid = visited[offsets[bi] : top].reshape(k - 1, k)
+            grid[...] = _block_layers(k, src, rank_np[targets[in_block]])
+    layer0 = flat2d[:n]
+    frontier = np.concatenate(seeds)
     visited[frontier] = True
     stamp = np.empty(total, dtype=np.intc)
     while frontier.size:
-        nxt = flat2d.take(frontier, axis=0).ravel()
-        if nxt.size * _WIDE_LEVEL >= total:
-            before = visited.copy()
-            visited[nxt] = True
-            frontier = np.flatnonzero(visited > before)
-            del before
-            continue
+        # An edge into a first member enters its layer-1 corner, marked above.
+        nxt = layer0.take(frontier, axis=0).ravel()
         nxt = nxt[~visited[nxt]]
-        if nxt.size > 1:
-            positions = np.arange(nxt.size, dtype=np.intc)
-            stamp[nxt] = positions
-            nxt = nxt[stamp[nxt] == positions]
-        visited[nxt] = True
-        frontier = nxt
+        positions = np.arange(nxt.size, dtype=np.intc)
+        stamp[nxt] = positions
+        frontier = nxt[stamp[nxt] == positions]  # one copy of each state
+        visited[frontier] = True
     renumber = np.cumsum(visited, dtype=np.intc, out=stamp)
     del stamp
     size = int(renumber[-1])
@@ -444,18 +486,17 @@ def muller_to_buchi_maximal(
             rank0[z] = p
         first_of[members[0]] = offsets[bi]
 
-    # Per block, the entry corner `(members[j], j + 1)` of each layer; the last accepts.
-    corners = [range(off, off + len(m) ** 2, len(m) + 1) for off, m in zip(offsets, orderings)]
+    # Per block, the top corner `(members[-1], k)`, which accepts.
+    tops = [off + len(m) ** 2 - 1 for off, m in zip(offsets, orderings)]
 
-    if _numpy_kernel(total * r):
-        layered, prune_reachable = _layered_delta_numpy, _prune_numpy
-    else:
-        layered, prune_reachable = _layered_delta_python, _prune_python
+    use_numpy = _numpy_kernel(total * r)
+    layered = _layered_delta_numpy if use_numpy else _layered_delta_python
     flat_table = layered(a, orderings, offsets, block_of, rank0, first_of, total)
     kept: Sequence[int] = range(total)
-    if prune:
-        seeds = [a.initial, *chain.from_iterable(corners)]
-        flat_table, kept = prune_reachable(flat_table, r, seeds)
+    if prune and use_numpy:
+        flat_table, kept = _prune_numpy(flat_table, a, orderings, offsets, block_of, rank0)
+    elif prune:
+        flat_table, kept = _prune_python(flat_table, r, a.initial)
 
     # kept is ascending, so renumbering of the few special states is a
     # binary search instead of a full index map.
@@ -465,7 +506,7 @@ def muller_to_buchi_maximal(
 
     initial_new = new_index(a.initial)
     assert initial_new is not None
-    accept_new = frozenset(i for c in corners if (i := new_index(c[-1])) is not None)
+    accept_new = frozenset(i for c in tops if (i := new_index(c)) is not None)
     automaton = DetAutomaton(
         alphabet=a.alphabet,
         n_states=len(kept),

@@ -438,6 +438,37 @@ def test_out_of_range_argument_is_usage_error(argv, capsys):
     assert "must be at least" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selftest", "--trials", "٢"],  # an Arabic-Indic digit two
+        ["selftest", "--states", "1_0"],
+        ["selftest", "--seed", " 1"],
+        ["selftest", "--seed", "+1"],
+        ["selftest", "--seed", "1.0"],
+        ["selftest", "--lasso-bound", "8 "],
+        ["analyze", "x.aut", "--loop-budget", "0x10"],
+        ["check", "subset", "x.aut", "y.aut", "--product-budget", "1e3"],
+    ],
+    ids=repr,
+)
+def test_integer_option_written_otherwise_than_in_a_file_is_usage_error(argv, capsys):
+    # An integer option takes what the file parser takes: ASCII digits with
+    # an optional leading '-'.  Anything else is rejected before any file is
+    # read or trial run, where `int` would have read it as some number.
+    with pytest.raises(SystemExit) as exc:
+        cli_run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"must be an integer, got {argv[-1]!r}" in captured.err
+
+
+def test_negative_seed_still_accepted(capsys):
+    assert cli_run(["selftest", "--trials", "1", "--states", "3", "--seed", "-7"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "selftest trials=1 failures=0"
+
+
 def _run_script(script: str, *args: str) -> subprocess.CompletedProcess:
     """Run `script` in a fresh interpreter that imports this checkout."""
     package_root = str(Path(omega_baire.__file__).resolve().parents[1])

@@ -362,34 +362,38 @@ def walk_reference(flat, r: int, initial: int):
     return reference, [renumber[flat[old * r + x]] for old in reference for x in range(r)]
 
 
+def assert_numpy_prune_is_the_walk(a: DetAutomaton, t: MullerTable):
+    """The numpy kernel's pruned translation keeps exactly the states that
+    one level-order walk from the initial state reaches in its unpruned
+    table, in ascending order, with the table restricted to them and
+    renumbered.  Origins name grid states one to one, so equal origins are
+    equal kept states.  Returns the pruned translation."""
+    with pinned_kernel(True):
+        tr = muller_to_buchi_maximal(a, t)
+        full = muller_to_buchi_maximal(a, t, prune=False)
+    reference, expected = walk_reference(full.automaton.delta, len(a.alphabet), a.initial)
+    assert [tr.origin[i] for i in range(len(tr.origin))] == [full.origin[s] for s in reference]
+    assert list(tr.automaton.delta) == expected
+    assert reference[tr.automaton.initial] == a.initial
+    return tr
+
+
 # {0,1} is unreachable from the initial state 2, a one-state self-loop block
 @example((DetAutomaton(("a", "b"), 3, 2, (1, 0, 0, 2, 2, 2)), MullerTable.of({0, 1}, {2})))
 # the same from 0: {0,1} holds the initial state and is not terminal
 @example((DetAutomaton(("a", "b"), 3, 0, (1, 0, 0, 2, 2, 2)), MullerTable.of({0, 1}, {2})))
+# a cycles 0 -> 2 -> 1 -> 0, only 0 exits, to 3, and the run enters at 0:
+# layer 0 never holds 0, so 3 is reached only from a layer of the block
+@example((DetAutomaton(("a", "b"), 5, 4, (2, 3, 0, 1, 1, 2, 3, 3, 0, 0)), MullerTable.of({0, 1, 2})))
 @given(block_mixes())
 @settings(max_examples=150, deadline=None)
 def test_seeded_prune_keeps_what_the_initial_state_reaches(instance):
-    # The numpy prune walks from every layer's entry corner at once; every
-    # seed must be reachable from the initial state, and the kept states and
-    # the renumbered table must be those of one walk from the initial state.
-    a, t = instance
-    r = len(a.alphabet)
-    calls = []
-    real = to_buchi._prune_numpy
-
-    def spy(flat2d, r_, seeds):
-        result = real(flat2d, r_, seeds)
-        calls.append((flat2d.ravel().tolist(), seeds, result))
-        return result
-
-    with pinned_kernel(True), mock.patch.object(to_buchi, "_prune_numpy", spy):
-        tr = muller_to_buchi_maximal(a, t)
-    ((flat, seeds, (new_flat, kept)),) = calls
-    reference, expected = walk_reference(flat, r, a.initial)
-    assert set(seeds) <= set(reference)
-    assert list(kept) == reference
-    assert list(new_flat) == expected
-    assert tr.automaton.delta is new_flat  # the automaton keeps the pruned table, no copy
+    # The numpy prune keeps per block what each layer's walk inside the block
+    # graph reaches, and in layer 0 the closure of its seeds: the initial
+    # state and the targets that leave a block or its top corner.  That is
+    # what one walk from the initial state reaches, on non-terminal,
+    # one-state, initial and unreachable blocks alike.
+    assert_numpy_prune_is_the_walk(*instance)
 
 
 # the two instances above, pruned and not
@@ -428,29 +432,15 @@ def test_kernels_agree_on_every_block_shape(instance, prune):
         assert not calls
 
 
-@pytest.mark.parametrize("wide_level", [0, to_buchi._WIDE_LEVEL, 1 << 62])
-def test_prune_walks_agree_with_the_reference_walk(wide_level):
-    # The numpy prune walks a wide level by the visited mask and a narrow one
-    # by the stamp.  Cut-off 0 takes the stamp on every level, 1 << 62 the
-    # mask on every level, and the default mixes them on this 3660-state
-    # table; each keeps what one walk from the initial state reaches.
-    a = chain_plus_random(60)
-    calls = []
-    real = to_buchi._prune_numpy
-
-    def spy(flat2d, r_, seeds):
-        result = real(flat2d, r_, seeds)
-        calls.append((flat2d.ravel().tolist(), result))
-        return result
-
-    with pinned_kernel(True), mock.patch.object(
-        to_buchi, "_WIDE_LEVEL", wide_level
-    ), mock.patch.object(to_buchi, "_prune_numpy", spy):
-        muller_to_buchi_maximal(a, MullerTable.of(range(60)))
-    ((flat, (new_flat, kept)),) = calls
-    reference, expected = walk_reference(flat, 2, a.initial)
-    assert list(kept) == reference
-    assert list(new_flat) == expected
+def test_prune_drops_dominated_layer_states():
+    # Of the 3660 grid states of the 60-state SCC, 118 go whatever the
+    # block graph: the 59 top-layer states besides the corner, and in each
+    # layer j below the top member j, since entering it promotes to the next
+    # corner.  A further 86 are dominated: every path inside the block from
+    # member j - 1 to them passes through member j, so layer j never holds
+    # them.  The numpy prune drops all 204, as the walk does.
+    tr = assert_numpy_prune_is_the_walk(chain_plus_random(60), MullerTable.of(range(60)))
+    assert tr.unpruned_state_count - tr.automaton.n_states == 118 + 86
 
 
 def test_kernel_follows_the_crossover_once_numpy_is_imported(monkeypatch):
@@ -513,6 +503,32 @@ def test_python_kernel_peak_memory_per_output_state():
     assert tr.unpruned_state_count * len(a.alphabet) < to_buchi.VECTORIZE_THRESHOLD
     assert tr.automaton.n_states == 31572
     assert peak / tr.automaton.n_states < 165
+
+
+def test_numpy_kernel_peak_memory_per_output_state():
+    # The same 31,572 output states as the Python kernel's test above, on
+    # the numpy kernel (pinned, since the table is below
+    # `VECTORIZE_THRESHOLD`).  The traced peak is about 31.1 B per output
+    # state: the unpruned and the pruned table (8 B a state each at two
+    # letters), the kept states and the renumbering map (4 B each) and the
+    # visited mask; the per-block layer rows are freed before the map is
+    # made.  One more array of 4 B a state at the peak, such as a copy of
+    # the kept states, would pass 33 B.
+    import numpy  # noqa: F401  (imported here so that its import is not traced)
+
+    n = 180
+    a = chain_plus_random(n)
+    t = MullerTable.of(range(n))
+    analysis = analyze(a)
+    tracemalloc.start()
+    try:
+        with pinned_kernel(True):
+            tr = muller_to_buchi_maximal(a, t, analysis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.automaton.n_states == 31572
+    assert peak / tr.automaton.n_states < 33
 
 
 def test_translation_peak_memory_per_output_state():
