@@ -69,11 +69,11 @@ def random_automaton(rng: random.Random, n: int, alphabet_size: int = 2) -> DetA
     return DetAutomaton(alphabet=tokens, n_states=n, initial=0, delta=flat)
 
 
-def chain_plus_random(n: int) -> DetAutomaton:
+def chain_plus_random(n: int, seed: int = 41) -> DetAutomaton:
     """One n-state SCC: letter a walks a cycle through every state, letter b
-    jumps to a state drawn from a fixed seed.  Its layered translation has
-    n + n^2 states before pruning."""
-    rng = random.Random(41)
+    jumps to a state drawn from `random.Random(seed)`.  Its layered
+    translation has n + n^2 states before pruning."""
+    rng = random.Random(seed)
     delta = [x for s in range(n) for x in ((s + 1) % n, rng.randrange(n))]
     return DetAutomaton(alphabet=("a", "b"), n_states=n, initial=0, delta=delta)
 

@@ -432,6 +432,15 @@ def test_kernels_agree_on_every_block_shape(instance, prune):
         assert not calls
 
 
+@pytest.mark.parametrize("seed", [0, 16, 1 << 62])
+def test_prune_walks_agree_with_the_reference_walk(seed):
+    # Each seed draws other b-jumps into the 60-state SCC, so other block
+    # graphs and other depths of the layers' walks in `_block_layers`; on
+    # each, the numpy prune keeps what one walk from the initial state
+    # reaches in the unpruned table.
+    assert_numpy_prune_is_the_walk(chain_plus_random(60, seed), MullerTable.of(range(60)))
+
+
 def test_prune_drops_dominated_layer_states():
     # Of the 3660 grid states of the 60-state SCC, 118 go whatever the
     # block graph: the 59 top-layer states besides the corner, and in each
