@@ -47,6 +47,12 @@ from .loops import SccAnalysis, analyze, is_loop, level_order
 VECTORIZE_THRESHOLD = 1 << 16
 # Rows of the layered table the numpy prune renumbers per slice.
 _PRUNE_ROWS = 1 << 12
+# After a round of `_block_layers` in which fewer than one row word in this
+# many gained a bit, the next round pushes those words alone; after a busier
+# one it ORs every row.  Ratios of 4 to 32 build the benchmark ladder within
+# its noise; pushing every round was 2.5-4x slower on the ladder's blocks
+# (2-vCPU x86-64, numpy 2.4).
+_PUSH_RATIO = 8
 # Largest unpruned output, in (state, symbol) cells, that the translation
 # builds.  With 4-byte tables `to-buchi` peaks at about 18 B per cell end to
 # end (93.3 MiB for 2.64M unpruned states at n=2000 and 2 letters, 93.3 MiB
@@ -316,39 +322,82 @@ def _prune_python(flat: list[int], r: int, initial: int):
     return list(map(renumber.__getitem__, compress(flat, cells))), kept
 
 
-def _block_layers(k: int, src, dst):
+def _block_layers(succ):
     """Entry [j - 1, q] of the (k - 1, k) bool result says whether layer j
-    of a k-member block keeps member q: whether the block graph, edges
-    `src -> dst` in ranks, reaches q from member j - 1 without entering
-    member j.  Member q holds one bit per layer, in uint64 words; a round
-    ORs into each row its predecessors' rows less the bit of the layer that
-    an edge into q promotes out of, until no row changes, so the rounds are
-    the depth of the deepest layer's walk.  Bits go in and out through one
-    byte view, so the words' byte order does not matter.  In a block of two
-    or more every member has an in-block predecessor, so each row is one
-    group of the edges sorted by target."""
+    of a k-member block keeps member q: whether the block graph reaches q
+    from member j - 1 without entering member j.  `succ` is the (k, r)
+    table of the members' targets in ranks, with member p itself in place
+    of a target of p outside the block (a self-transition changes nothing).
+
+    Member q holds one bit per layer, in uint64 words, starting with the
+    bit of the layer whose corner it is.  A round moves the bits that the
+    last round gained along the edges, less the bit of the layer that an
+    edge into q promotes out of, until no word gains a bit.  After a busy
+    round a round ORs every row into its successors at once, one `reduceat`
+    over the edges grouped by target; after a round in which fewer than one
+    word in `_PUSH_RATIO` gained, it pushes only the words that did, merging
+    those that meet in one word by a sort.  A word gains at most 64 bits, so
+    at most 64 * `_PUSH_RATIO` + 1 rounds are whole ones, and a block costs
+    O(k^2 r) word operations, up to the sort's log factor, however deep its
+    layers' walks go.  Bits go in and out through one byte view, so the
+    words' byte order does not matter."""
     import numpy as np
 
+    k, r = succ.shape
+    words = -(-(k - 1) // 64)
     i = np.arange(k - 1)
-    bits = np.zeros((k, -(-(k - 1) // 64) * 64), dtype=bool)
+    bits = np.zeros((k, words * 64), dtype=bool)
     bits[i, i] = True  # member j - 1 is the corner of layer j
-    corner = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+    rows = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
     del bits
     # An edge into member q promotes out of layer q, whose corner is q - 1;
     # an edge into member 0 promotes out of layer 0, which has no bit.
-    keep = np.full_like(corner, ~np.uint64(0))
-    keep[1:] = ~corner[:-1]
-    order = np.argsort(dst, kind="stable")
-    src = src[order]
-    starts = np.searchsorted(dst[order], np.arange(k))
-    rows = corner
-    while True:
-        grown = np.bitwise_or.reduceat(rows.take(src, axis=0), starts)
-        grown &= keep
-        grown |= rows
-        if (grown == rows).all():
-            break
-        rows = grown
+    keep = np.full_like(rows, ~np.uint64(0))
+    keep[1:] = ~rows[:-1]
+    keep_words = keep.ravel()
+    # In a block of two or more every member has an in-block predecessor
+    # other than itself, so each row is one group of the edges by target.
+    src = np.repeat(np.arange(k), r)
+    dst = succ.ravel()
+    moves = dst != src
+    order = np.argsort(dst[moves], kind="stable")
+    src = src[moves].take(order)
+    starts = np.searchsorted(dst[moves].take(order), np.arange(k))
+    succ_words = succ * words
+    stamp = np.empty(rows.size, dtype=np.intp)
+    cells = np.flatnonzero(rows)  # words that gained bits, as row * words + word
+    gained = rows.ravel().take(cells)
+    while cells.size:
+        if cells.size * _PUSH_RATIO >= rows.size:
+            grown = np.bitwise_or.reduceat(rows.take(src, axis=0), starts)
+            grown &= keep
+            grown |= rows
+            rows ^= grown  # now the bits this round gained
+            cells = np.flatnonzero(rows)
+            gained = rows.ravel().take(cells)
+            rows = grown
+        else:
+            p, w = np.divmod(cells, words)
+            cells = succ_words.take(p, axis=0)
+            cells += w[:, None]
+            cells = cells.ravel()
+            pushed = keep_words.take(cells).reshape(-1, r)
+            pushed &= gained[:, None]
+            gained = pushed.ravel()
+            at = np.arange(cells.size)
+            stamp[cells] = at
+            if not (stamp.take(cells) == at).all():  # some words meet
+                order = cells.argsort()
+                cells = cells.take(order)
+                heads = np.flatnonzero(np.diff(cells, prepend=-1))
+                gained = np.bitwise_or.reduceat(gained.take(order), heads)
+                cells = cells.take(heads)
+            flat = rows.ravel()
+            gained &= ~flat.take(cells)
+            grew = np.flatnonzero(gained)
+            cells = cells.take(grew)
+            gained = gained.take(grew)
+            flat[cells] |= gained
     bits = np.unpackbits(rows.view(np.uint8), axis=1, count=k - 1, bitorder="little")
     return bits.T.view(bool)
 
@@ -393,9 +442,9 @@ def _prune_numpy(flat2d, a: DetAutomaton, orderings, offsets, block_of, rank0):
         seeds += [targets[~in_block], targets[-1]]
         visited[top + k - 1] = True  # the top corner
         if k > 1:
-            src = np.repeat(np.arange(k), r)[in_block.ravel()]
+            succ = np.where(in_block, rank_np.take(targets), np.arange(k)[:, None])
             grid = visited[offsets[bi] : top].reshape(k - 1, k)
-            grid[...] = _block_layers(k, src, rank_np[targets[in_block]])
+            grid[...] = _block_layers(succ)
     layer0 = flat2d[:n]
     frontier = np.concatenate(seeds)
     visited[frontier] = True

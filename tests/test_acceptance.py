@@ -351,6 +351,41 @@ def test_criterion_6_polynomial_time(monkeypatch):
     conclude("6 polynomial-time", failures, f"{detail}, slope {slope:.2f}")
 
 
+def test_criterion_6_deep_block(monkeypatch):
+    """A block whose layers walk far also translates in under a second at
+    two thousand states, with runtime growing at most quadratically (log-log
+    slope at most 2.2): a one-letter cycle through every state in random
+    order, whose layer j walks around the cycle from member j - 1 up to
+    member j, so the deepest walks take about as many steps as the block has
+    members."""
+    monkeypatch.setattr(to_buchi, "_numpy_kernel", lambda cells: True)
+    failures = []
+    sizes = (500, 1000, 2000)
+    times = {}
+    for n in sizes:
+        order = list(range(n))
+        random.Random(n).shuffle(order)
+        delta = [0] * n
+        for s, t in zip(order, order[1:] + order[:1]):
+            delta[s] = t
+        a = DetAutomaton(alphabet=("a",), n_states=n, initial=0, delta=delta)
+        an = analyze(a)
+        table = MullerTable.of(range(n))
+        best = 1e9
+        for _ in range(3):
+            t0 = time.perf_counter()
+            muller_to_buchi_maximal(a, table, an)
+            best = min(best, time.perf_counter() - t0)
+        times[n] = best
+    if times[2000] >= 1.0:
+        failures.append(f"{times[2000]:.2f}s at n=2000")
+    slope = (math.log(times[2000]) - math.log(times[500])) / (math.log(2000) - math.log(500))
+    if slope > 2.2:
+        failures.append(f"translation log-log slope {slope:.2f} > 2.2")
+    detail = ", ".join(f"n={n}: {times[n] * 1000:.0f}ms" for n in sizes)
+    conclude("6 polynomial-time, deep block", failures, f"{detail}, slope {slope:.2f}")
+
+
 def test_criterion_7_canonical_example():
     """The two-state automaton of the eventually-only-a language: empty open
     witness, the whole state space as the meagre-complement table, inclusion

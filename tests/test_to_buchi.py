@@ -396,6 +396,20 @@ def test_seeded_prune_keeps_what_the_initial_state_reaches(instance):
     assert_numpy_prune_is_the_walk(*instance)
 
 
+# b jumps two back, so members q + 1 and q + 2 both push into member q
+@example((DetAutomaton(("a", "b"), 130, 0, [t for s in range(130) for t in ((s - 1) % 130, (s - 2) % 130)]), MullerTable.of(range(130))))
+@example((chain_plus_random(60, 16), MullerTable.of(range(60))))
+@given(block_mixes())
+@settings(max_examples=100, deadline=None)
+@pytest.mark.parametrize("push_ratio", [0, 1 << 62], ids=["push", "or-all"])
+def test_block_rounds_of_either_kind_keep_what_the_walk_reaches(push_ratio, instance):
+    # `_block_layers` pushes the changed words alone after a quiet round and
+    # ORs every row after a busy one.  Held to one kind of round throughout,
+    # it still keeps what one walk from the initial state reaches.
+    with mock.patch.object(to_buchi, "_PUSH_RATIO", push_ratio):
+        assert_numpy_prune_is_the_walk(*instance)
+
+
 # the two instances above, pruned and not
 @example((DetAutomaton(("a", "b"), 3, 2, (1, 0, 0, 2, 2, 2)), MullerTable.of({0, 1}, {2})), True)
 @example((DetAutomaton(("a", "b"), 3, 0, (1, 0, 0, 2, 2, 2)), MullerTable.of({0, 1}, {2})), False)
@@ -432,24 +446,23 @@ def test_kernels_agree_on_every_block_shape(instance, prune):
         assert not calls
 
 
-@pytest.mark.parametrize("seed", [0, 16, 1 << 62])
-def test_prune_walks_agree_with_the_reference_walk(seed):
+@pytest.mark.parametrize(
+    ("seed", "dominated"),
+    [pytest.param(seed, dominated, id=str(seed)) for seed, dominated in
+     ((0, 91), (16, 215), (1 << 62, 173), (41, 86))],
+)
+def test_prune_walks_agree_with_the_reference_walk(seed, dominated):
     # Each seed draws other b-jumps into the 60-state SCC, so other block
     # graphs and other depths of the layers' walks in `_block_layers`; on
     # each, the numpy prune keeps what one walk from the initial state
-    # reaches in the unpruned table.
-    assert_numpy_prune_is_the_walk(chain_plus_random(60, seed), MullerTable.of(range(60)))
-
-
-def test_prune_drops_dominated_layer_states():
-    # Of the 3660 grid states of the 60-state SCC, 118 go whatever the
-    # block graph: the 59 top-layer states besides the corner, and in each
-    # layer j below the top member j, since entering it promotes to the next
-    # corner.  A further 86 are dominated: every path inside the block from
-    # member j - 1 to them passes through member j, so layer j never holds
-    # them.  The numpy prune drops all 204, as the walk does.
-    tr = assert_numpy_prune_is_the_walk(chain_plus_random(60), MullerTable.of(range(60)))
-    assert tr.unpruned_state_count - tr.automaton.n_states == 118 + 86
+    # reaches in the unpruned table.  Of the 3660 grid states, 118 go
+    # whatever the block graph: the 59 top-layer states besides the corner,
+    # and in each layer j below the top member j, since entering it
+    # promotes to the next corner.  The `dominated` others go because every
+    # path inside the block from member j - 1 to them passes through member
+    # j, so layer j never holds them.
+    tr = assert_numpy_prune_is_the_walk(chain_plus_random(60, seed), MullerTable.of(range(60)))
+    assert tr.unpruned_state_count - tr.automaton.n_states == 118 + dominated
 
 
 def test_kernel_follows_the_crossover_once_numpy_is_imported(monkeypatch):
