@@ -118,6 +118,18 @@ def _condensation_dot(analysis) -> str:
 
 
 def cmd_baire(args) -> int:
+    # The files to write; options that do nothing, or two outputs that name
+    # one file, are usage errors (exit 2) before anything is read.
+    outs = [args.out_open, args.out_meagre_complement]
+    if args.buchi:
+        outs.append(args.out_buchi_open or outs[0] + ".buchi")
+        outs.append(args.out_buchi_meagre_complement or outs[1] + ".buchi")
+    elif args.no_prune or args.out_buchi_open or args.out_buchi_meagre_complement:
+        args.usage_error(
+            "--no-prune, --out-buchi-open and --out-buchi-meagre-complement need --buchi"
+        )
+    if len({Path(out).resolve() for out in outs}) < len(outs):
+        args.usage_error("two output options name the same file")
     a, t = _load_muller(args.file)
     analysis = analyze(a)
     if args.buchi:
@@ -151,11 +163,7 @@ def cmd_baire(args) -> int:
     if args.buchi:
         b1, acc1 = witness.open_buchi
         b2, acc2 = witness.meagre_complement_buchi
-        out_b1 = args.out_buchi_open or args.out_open + ".buchi"
-        out_b2 = (
-            args.out_buchi_meagre_complement
-            or args.out_meagre_complement + ".buchi"
-        )
+        out_b1, out_b2 = outs[2:]
         _write(out_b1, b1, acc1, origin)
         _write(out_b2, b2, acc2, witness.meagre_buchi_origin)
         print(
@@ -311,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-buchi-open")
     p.add_argument("--out-buchi-meagre-complement")
     p.add_argument("--no-prune", action="store_true")
-    p.set_defaults(func=cmd_baire)
+    p.set_defaults(func=cmd_baire, usage_error=p.error)
 
     p = sub.add_parser(
         "to-buchi", help="translate a maximal-loop Muller automaton to Buchi"

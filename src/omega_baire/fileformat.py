@@ -22,25 +22,22 @@ comment lines and are ignored when parsing.  Files are written a chunk of
 a few thousand states at a time (`serialize_chunks`), so writing a file
 need not hold the whole text.
 
-Files written here are read by a checked streaming reader
-(`_read_canonical`), which takes the text in blocks (a file is read a
-block of bytes at a time through an incremental UTF-8 decoder) and holds
-no list of lines and no second copy of the text:
-- the four header lines and the `accept` lines go through the line parser;
-- the `trans` block is cut into pieces of whole states, and a piece is
-  kept only if rendering its targets gives back exactly its text; the
-  targets go into one array, which `DetAutomaton` range-checks;
-- the origin-comment tail is accepted unsplit if every line starts with `#`;
-- a block with a line break other than newline is doubted, so the lines
-  split at newline are those of `str.splitlines`.
-At the first doubt the whole input goes through the line parser instead
-(`_parse_general`), so any other valid file parses to the same result,
-and an invalid one fails with the same error class, message and line.
+A file is read in one pass, a block of bytes at a time through an
+incremental UTF-8 decoder, holding the transition table but neither the
+text nor a list of its lines (`_read`).  Its `str.splitlines` lines go
+through the line parser, but for two kinds of run that cannot change the
+result: a piece of a few thousand states of the `trans` block whose text
+is exactly the rendering of its own targets, all in range, is taken in
+bulk, and a run of comment lines with no line break but newline is passed
+unsplit.  So a file written here is read at bulk speed, and any other
+file (other line order, spacing, comments, CRLF line ends, a pipe) gets
+the same result, error and line number as from the line parser alone.
 """
 
 from __future__ import annotations
 
 import codecs
+import re
 from array import array
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -60,10 +57,14 @@ _HEADER_KEYS = ("alphabet", "states", "initial", "acc-type")
 _RESERVED = frozenset("{},:")  # never in a symbol token (nor whitespace or '#')
 # States per piece of the `trans` block, both when reading and when writing.
 _CHUNK_STATES = 2048
-# Bytes per read of a file, and characters per piece of a comment tail.
+# Bytes per read of a file, and characters per batch of lines to split.
 _READ_BYTES = 1 << 17
-# The characters other than "\n" at which `str.splitlines` ends a line.
+# The characters other than "\n" at which `str.splitlines` ends a line, and
+# those but "\r" (which may open a "\r\n") with "\n": the ends of a whole line.
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_ENDS = "\n" + _OTHER_BREAKS[1:]
+# Ends a run of comment lines: a newline not followed by '#'.
+_COMMENT_RUN_END = re.compile("\n[^#]")
 _LAYERED_COMMENT = "# state %d: layered (%d, %d)\n"
 
 _Parsed = tuple[DetAutomaton, MullerTable | BuchiSet]
@@ -89,11 +90,10 @@ def _parse_int(token: str, what: str, line: int, exc=BadHeader) -> int:
     return value
 
 
-def _parse_groups(payload: str, line: int) -> list[frozenset[int]]:
-    """Parse `{i,j,...}` groups from a Muller accept-line payload."""
+def _parse_groups(text: str, line: int) -> list[frozenset[int]]:
+    """Parse `{i,j,...}` groups from the payload `text` of a Muller accept line."""
     groups: list[frozenset[int]] = []
     pos = 0
-    text = payload
     while pos < len(text):
         if text[pos].isspace():
             pos += 1
@@ -119,88 +119,71 @@ def _parse_groups(payload: str, line: int) -> list[frozenset[int]]:
 def parse_automaton(text: str | bytes) -> _Parsed:
     """Parse an automaton file into its transition structure and acceptance.
 
-    Every error names the offending line, bytes that are not UTF-8 that
-    of the first bad byte; completeness of the transition table is
-    enforced (no implicit sink completion).  A canonical file is
-    read by `_read_canonical` and checked against its own re-rendering;
-    any other file goes through `_parse_general` and gets the same result.
+    The result is `_LineParser`'s on the text's `str.splitlines` lines, read
+    in one pass (`_read`).  Every error names the offending line; bytes
+    that are not UTF-8 name the line of the first bad byte, over any other
+    error.  Completeness of the transition table is enforced (no implicit
+    sink completion).
     """
     if isinstance(text, str):
-        blocks: Iterator[str] = iter((text,))
-    else:
-        data = memoryview(text)
-        blocks = _decoded(
-            data[i : i + _READ_BYTES] for i in range(0, len(data), _READ_BYTES)
-        )
-    return _read_canonical(blocks) or _parse_general(text)
+        return _read(iter((text,)))
+    data = memoryview(text)
+    return _read(_decoded(data[i : i + _READ_BYTES] for i in range(0, len(data), _READ_BYTES)))
 
 
 def read_automaton(path: str | Path) -> _Parsed:
-    """`parse_automaton` of the file at `path`, streamed a block at a time;
-    the file is read again, whole, only if `_parse_general` must read it.
-    A pipe or other unseekable file is read whole at once."""
+    """`parse_automaton` of the file at `path`, which may be a pipe, read
+    once, a block of bytes at a time."""
     with open(path, "rb") as f:
-        if not f.seekable():
-            return parse_automaton(f.read())
-        parsed = _read_canonical(_decoded(iter(lambda: f.read(_READ_BYTES), b"")))
-        if parsed is None:
-            f.seek(0)
-            parsed = _parse_general(f.read())
-    return parsed
-
-
-def _parse_general(text: str | bytes) -> _Parsed:
-    """`parse_automaton` with every line taken by the line parser."""
-    if isinstance(text, bytes):
-        text = _decode(text)
-    lines = text.splitlines()
-    parser = _LineParser()
-    for lineno, raw in enumerate(lines, start=1):
-        parser.line(lineno, raw)
-    return parser.result(len(lines) + 1)
-
-
-def _decode(data: bytes) -> str:
-    """The UTF-8 text of `data`; a `FormatError` names the line of the
-    first byte that is not UTF-8."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        # The bytes before e.start decode; the bad byte opens a line if they
-        # end with a line break.
-        line = len((data[: e.start].decode("utf-8") + "x").splitlines())
-        raise FormatError(
-            f"invalid UTF-8 (byte 0x{data[e.start]:02x}: {e.reason})", line
-        ) from None
+        return _read(_decoded(iter(lambda: f.read(_READ_BYTES), b"")))
 
 
 def _decoded(blocks: Iterable[bytes]) -> Iterator[str]:
     """The UTF-8 text of `blocks`, a piece per block; a character split
-    between blocks comes out whole in the later piece."""
+    between blocks comes out whole in the later piece.  At a byte that is
+    not UTF-8 the text before it comes out, then a `FormatError` with no
+    line, which `_Cursor.fill` adds."""
     decoder = codecs.getincrementaldecoder("utf-8")()
-    for block in blocks:
-        yield decoder.decode(block)
-    yield decoder.decode(b"", True)
+    try:
+        for block in blocks:
+            yield decoder.decode(block)
+        yield decoder.decode(b"", True)
+    except UnicodeDecodeError as e:
+        yield e.object[: e.start].decode("utf-8")
+        raise FormatError(f"invalid UTF-8 (byte 0x{e.object[e.start]:02x}: {e.reason})") from None
+
+
+def _first_other_break(text: str, start: int, stop: int) -> int:
+    """The index of the first line break other than newline in
+    `text[start:stop]`, or `stop` if there is none."""
+    for c in _OTHER_BREAKS:
+        i = text.find(c, start, stop)
+        if i >= 0:
+            stop = i
+    return stop
 
 
 class _LineParser:
     """Takes a file one line at a time; `result` checks what only the
-    whole file shows and builds the automaton."""
+    whole file shows and builds the automaton.  Transitions go into
+    `table` in table order; one that comes early waits in `early` until
+    the cells before it are in."""
 
     def __init__(self) -> None:
         self.alphabet: tuple[str, ...] | None = None
         self.n_states: int | None = None
         self.initial: int | None = None
         self.acc_type: str | None = None
-        self.trans: dict[tuple[int, int], int] = {}
+        self.table = array("i")
+        self.early: dict[int, int] = {}
         self.muller_entries: list[frozenset[int]] = []
         self.buchi_states: set[int] = set()
         self.header_lines: dict[str, int] = {}
         self.symbol_index: dict[str, int] = {}
 
     def line(self, lineno: int, raw: str) -> str | None:
-        """Take line `lineno`; returns its keyword, or None for a blank or
-        comment line."""
+        """Take line `lineno`, with or without its line break; returns its
+        keyword, or None for a blank or comment line."""
         if raw[:1] == "#":
             return None
         line = raw.split("#", 1)[0]
@@ -262,12 +245,15 @@ class _LineParser:
                 raise BadStateIndex(f"target state {dst} out of range", lineno)
             if tokens[2] not in self.symbol_index:
                 raise UnknownSymbol(f"symbol {tokens[2]!r} not in alphabet", lineno)
-            pair = (src, self.symbol_index[tokens[2]])
-            if pair in self.trans:
+            cell = src * len(self.symbol_index) + self.symbol_index[tokens[2]]
+            table, early = self.table, self.early
+            if cell < len(table) or cell in early:
                 raise DuplicateTransition(
                     f"transition for state {src} on {tokens[2]!r} already defined", lineno
                 )
-            self.trans[pair] = dst
+            early[cell] = dst
+            while len(table) in early:
+                table.append(early.pop(len(table)))
         elif self.acc_type == "muller":
             payload = line.split(None, 1)[1] if len(tokens) > 1 else ""
             for group in _parse_groups(payload, lineno):
@@ -283,144 +269,160 @@ class _LineParser:
                 self.buchi_states.add(s)
         return key
 
-    def result(self, eof: int | None, table: array | None = None) -> _Parsed:
-        """The parsed automaton; `table` is the transition table when it was
-        read in bulk, and `eof` the line number for the errors that the end
-        of the file shows (a missing header or transition)."""
+    def result(self, eof: int) -> _Parsed:
+        """The parsed automaton; `eof` is the line number for the errors
+        that the end of the file shows (a missing header or transition)."""
         missing_headers = [k for k in _HEADER_KEYS if k not in self.header_lines]
         if missing_headers:
             raise BadHeader(f"missing header line(s): {', '.join(missing_headers)}", eof)
         alphabet, n_states, initial = self.alphabet, self.n_states, self.initial
         assert alphabet is not None and n_states is not None and initial is not None
         if not 0 <= initial < n_states:
-            raise BadStateIndex(
-                f"initial state {initial} out of range", self.header_lines["initial"]
-            )
-        if table is None:
-            trans = self.trans
-            for s in range(n_states):
-                for x, tok in enumerate(alphabet):
-                    if (s, x) not in trans:
-                        raise MissingTransition(
-                            f"no transition for state {s} on symbol {tok!r}", eof
-                        )
-            table = array(
-                "i", [trans[s, x] for s in range(n_states) for x in range(len(alphabet))]
-            )
-        automaton = DetAutomaton(
-            alphabet=alphabet, n_states=n_states, initial=initial, delta=table
-        )
+            line = self.header_lines["initial"]
+            raise BadStateIndex(f"initial state {initial} out of range", line)
+        if len(self.table) < n_states * len(alphabet):
+            s, x = divmod(len(self.table), len(alphabet))
+            raise MissingTransition(f"no transition for state {s} on symbol {alphabet[x]!r}", eof)
+        automaton = DetAutomaton(alphabet, n_states, initial, self.table)
         if self.acc_type == "muller":
             return automaton, MullerTable(frozenset(self.muller_entries))
         return automaton, BuchiSet(frozenset(self.buchi_states))
 
 
 class _Cursor:
-    """Text that arrives in blocks, read from the offset `pos` into `buf`;
-    reading further drops the text before `pos`."""
+    """The lines of text that arrives in blocks, as `str.splitlines` cuts
+    them.  `buf[pos:]` is the text not yet handed out; `pos` is at the
+    start of a line, and `lineno` counts the lines before it."""
 
     def __init__(self, blocks: Iterator[str]):
         self._blocks = blocks
-        self.buf = ""
-        self.pos = 0
+        self.buf, self.pos, self.lineno = "", 0, 0
+        self.ended = False  # whether `buf` holds the rest of the text
 
     def fill(self, size: int) -> None:
-        """Read blocks until `size` characters follow `pos`, or to the end."""
+        """Read blocks until `size` characters follow `pos`, or to the end;
+        reading drops the text before `pos`.  A bad byte in a block is a
+        `FormatError` that names its line."""
         have = len(self.buf) - self.pos
-        if have >= size:
+        if have >= size or self.ended:
             return
         parts = [self.buf[self.pos :]] if have else []
-        for block in self._blocks:
-            parts.append(block)
-            have += len(block)
-            if have >= size:
-                break
+        try:
+            for block in self._blocks:
+                parts.append(block)
+                have += len(block)
+                if have >= size:
+                    break
+            else:
+                self.ended = True
+        except FormatError as e:
+            # The last part is the text before the bad byte, which opens a
+            # line if that text ends with a line break.
+            line = self.lineno + len(("".join(parts) + "x").splitlines())
+            raise FormatError(str(e), line) from None
         self.buf = "".join(parts)  # one part is kept as it is, not copied
         self.pos = 0
 
-    def line(self) -> str | None:
-        """The next line without its newline; None at the end of the text."""
-        end = self.buf.find("\n", self.pos)
-        while end < 0:
-            have = len(self.buf) - self.pos
-            self.fill(2 * have + 1)
-            if len(self.buf) - self.pos == have:  # the text has ended
-                if not have:
-                    return None
-                end = len(self.buf)
-                break
-            end = self.buf.find("\n", self.pos + have)
-        line = self.buf[self.pos : end]
-        self.pos = min(end + 1, len(self.buf))
-        return line
+    def lines(self) -> list[str]:
+        """The next lines, each with its line break, after the run of
+        comment lines that `skip_comments` passes; [] at the end of the
+        text.  Lines with no line break but newline stop before the next
+        comment line, so that its run is passed too."""
+        self.skip_comments()
+        size = _READ_BYTES
+        while True:
+            self.fill(size)
+            buf, pos = self.buf, self.pos
+            end = min(len(buf), pos + size)
+            whole = self.ended and end == len(buf)  # the last line ends at `end`
+            cut = buf.find("\n#", pos, end) + 1
+            if cut and _first_other_break(buf, pos, cut) == cut:
+                end, whole = cut, True
+            lines = buf[pos:end].splitlines(True)
+            if lines and not whole and lines[-1][-1] not in _LINE_ENDS:
+                lines.pop()  # it may go on, or its "\r" open a "\r\n", in text to come
+            if lines or whole:
+                self.pos = pos + sum(map(len, lines))
+                self.lineno += len(lines)
+                return lines
+            size *= 2
 
-    def rest(self) -> Iterator[str]:
-        """The text after `pos`, in pieces of at most `_READ_BYTES`
-        characters or of a block each."""
-        buf, pos = self.buf, self.pos
-        self.buf, self.pos = "", 0
-        for start in range(pos, len(buf), _READ_BYTES):
-            yield buf[start : start + _READ_BYTES]
-        yield from self._blocks
+    def skip_comments(self) -> None:
+        """Pass the run of lines at `pos` that start with '#' and hold no
+        line break other than newline."""
+        size = _READ_BYTES
+        while True:
+            self.fill(size)
+            buf, pos = self.buf, self.pos
+            if not buf.startswith("#", pos):
+                return
+            limit = min(len(buf), pos + size)
+            run = _COMMENT_RUN_END.search(buf, pos, limit)
+            stop = _first_other_break(buf, pos, run.start() + 1 if run else limit)
+            end = buf.rfind("\n", pos, stop) + 1  # past the run's last whole line
+            if end > pos:
+                self.lineno += buf.count("\n", pos, end)
+                self.pos, size = end, _READ_BYTES
+            elif stop < limit or (self.ended and limit == len(buf)):
+                return  # the line at `pos` holds another break, or ends the text
+            else:
+                size *= 2  # the line at `pos` goes on past `limit`
+
+    def drain(self) -> None:
+        """Read the rest of the text a block at a time, so that a bad byte
+        in it still raises its `FormatError`."""
+        while not self.ended:
+            self.fill(len(self.buf) - self.pos + 1)
+            # Count the lines read but for a last "\r", which may open a "\r\n".
+            end = len(self.buf) - self.buf.endswith("\r")
+            self.lineno += len((self.buf[self.pos : end] + "x").splitlines()) - 1
+            self.pos = end
 
 
-def _read_canonical(blocks: Iterator[str]) -> _Parsed | None:
-    """What `_parse_general` makes of the text in `blocks`, if the text is
-    laid out as `serialize_chunks` writes it: the four header lines, the
-    canonical `trans` block, then `accept` or blank lines and a tail of
-    comment lines.  None at the first doubt, at which the caller parses
-    the whole input with `_parse_general`."""
-    text = _Cursor(_newline_breaks_only(blocks))
+def _read(blocks: Iterator[str]) -> _Parsed:
+    """What `_LineParser` makes of the `str.splitlines` lines of the text
+    in `blocks`, but for the runs that `_read_pieces` and
+    `_Cursor.skip_comments` pass; after an error the rest of the text is
+    still read, as a bad byte in it goes first."""
+    text = _Cursor(blocks)
     parser = _LineParser()
+    table = parser.table
+    target = 0  # the table length at which to look for pieces to read in bulk
     try:
-        for lineno, key in enumerate(_HEADER_KEYS, start=1):
-            line = text.line()
-            if line is None or parser.line(lineno, line) != key:
-                return None
-        assert parser.alphabet is not None and parser.n_states is not None
-        table = _read_trans(text, parser.alphabet, parser.n_states)
-        if table is None:
-            return None
-        lineno = len(_HEADER_KEYS) + len(table)
-        while (line := text.line()) is not None:
-            lineno += 1
-            if line[:1] == "#":
-                if not _comments_only(text.rest()):
-                    return None
-                break
-            if parser.line(lineno, line) not in (None, "accept"):
-                return None
-        return parser.result(None, table)
-    except (FormatError, ValueError, OverflowError):
-        # A line the line parser rejects, a target that is not an integer,
-        # past a C int (OverflowError from the table) or not in range
-        # (BadStateIndex from DetAutomaton), a line break other than
-        # newline, or bytes that are not UTF-8 (a ValueError).
-        return None
+        while batch := text.lines():
+            start = text.lineno - len(batch)
+            for lineno, raw in enumerate(batch, start + 1):
+                parser.line(lineno, raw)
+                if len(table) >= target and len(parser.header_lines) == len(_HEADER_KEYS):
+                    break
+            else:
+                continue
+            text.pos -= sum(map(len, batch[lineno - start :]))  # give back the rest
+            text.lineno = lineno
+            del batch  # before the bulk read
+            target = _read_pieces(text, parser)
+        return parser.result(text.lineno + 1)
+    except FormatError:
+        text.drain()
+        raise
 
 
-def _newline_breaks_only(blocks: Iterator[str]) -> Iterator[str]:
-    """`blocks`, but a ValueError at the first one that holds a line break
-    other than newline: in text without one, the lines split at "\\n" are
-    the lines of `str.splitlines`."""
-    for block in blocks:
-        if any(c in block for c in _OTHER_BREAKS):
-            raise ValueError("line break other than newline")
-        yield block
-
-
-def _read_trans(text: _Cursor, alphabet: tuple[str, ...], n_states: int) -> array | None:
-    """The transition table, if the text at the cursor opens with exactly
-    the canonical `trans` block of `n_states` states; None at the first
-    piece of `_CHUNK_STATES` states whose text is not the rendering of its
-    own targets."""
+def _read_pieces(text: _Cursor, parser: _LineParser) -> int:
+    """Take the `trans` lines at the cursor a piece of `_CHUNK_STATES`
+    states at a time, while the table is at the start of a piece, no line
+    came early, and the piece is exactly the rendering of its own targets,
+    all in range: the line parser would append them in turn.  A piece in
+    doubt is left to it; returns the table length at which to try again."""
+    alphabet, n_states = parser.alphabet, parser.n_states
+    assert alphabet is not None and n_states is not None
     r = len(alphabet)
+    table = parser.table
+    step = r * _CHUNK_STATES
     render = _TransRenderer(alphabet)
-    # Characters of the longest line "trans <src> <symbol> <target>\n" but
-    # for its source state.
+    # Characters of the longest line "trans <src> <symbol> <target>\n" but its <src>.
     widest = 9 + max(map(len, alphabet)) + len(str(n_states - 1))
-    table = array("i")
-    for first in range(0, n_states, _CHUNK_STATES):
+    while len(table) % step == 0 and len(table) < n_states * r and not parser.early:
+        first = len(table) // r
         stop = min(first + _CHUNK_STATES, n_states)
         count = r * (stop - first)
         size = count * (widest + len(str(stop - 1)))
@@ -428,31 +430,19 @@ def _read_trans(text: _Cursor, alphabet: tuple[str, ...], n_states: int) -> arra
         buf, pos = text.buf, text.pos
         # A canonical piece lies within `size` characters; its targets are
         # every fourth of its first 4 * count tokens.
-        targets = list(map(int, buf[pos : pos + size].split()[3 : 4 * count : 4]))
-        if len(targets) != count:
-            return None
+        try:
+            targets = list(map(int, buf[pos : pos + size].split()[3 : 4 * count : 4]))
+        except ValueError:
+            break
+        if len(targets) != count or min(targets) < 0 or max(targets) >= n_states:
+            break
         piece = render(first, stop, targets)
         if not buf.startswith(piece, pos):
-            return None
+            break
         text.pos = pos + len(piece)
+        text.lineno += count
         table.extend(targets)
-    return table
-
-
-def _comments_only(parts: Iterable[str]) -> bool:
-    """Whether the text of `parts`, which starts at the start of a line,
-    is lines that each begin with `#`."""
-    line_start = True
-    for part in parts:
-        if not part:
-            continue
-        if line_start and part[0] != "#":
-            return False
-        line_start = part[-1] == "\n"
-        # Every newline but a last one is followed by '#'.
-        if part.count("\n#") != part.count("\n") - line_start:
-            return False
-    return True
+    return (len(table) // step + 1) * step
 
 
 class _TransRenderer:

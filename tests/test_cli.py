@@ -219,6 +219,49 @@ class TestBaire:
         assert code == 0
         assert "unpruned 6" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--no-prune"], ["--out-buchi-open", "b.aut"], ["--out-buchi-meagre-complement", "b.aut"]],
+        ids=" ".join,
+    )
+    def test_buchi_option_without_buchi_is_usage_error(self, ex1_file, tmp_path, capsys, extra):
+        """Without --buchi no Buchi form is built: an option for one is
+        rejected, not ignored, and nothing is written."""
+        argv = ["baire", str(ex1_file), "--out-open", "o.aut", "--out-meagre-complement", "m.aut"]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.chdir(tmp_path)
+            with pytest.raises(SystemExit) as exc:
+                cli_run(argv + extra)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "need --buchi" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ex1.aut"]
+
+    @pytest.mark.parametrize(
+        "outputs",
+        [
+            ["--out-open", "w.aut", "--out-meagre-complement", "w.aut"],
+            ["--out-open", "w.aut", "--out-meagre-complement", "./w.aut"],
+            ["--out-open", "w.aut", "--out-meagre-complement", "m.aut", "--buchi",
+             "--out-buchi-open", "m.aut"],
+            ["--out-open", "w.aut", "--out-meagre-complement", "w.aut.buchi", "--buchi"],
+        ],
+        ids=" ".join,
+    )
+    def test_two_outputs_naming_one_file_is_usage_error(self, ex1_file, tmp_path, capsys, outputs):
+        """One output would overwrite another (the meagre complement over
+        the open witness, say): a usage error, and nothing is written."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.chdir(tmp_path)
+            with pytest.raises(SystemExit) as exc:
+                cli_run(["baire", str(ex1_file), *outputs])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "name the same file" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ex1.aut"]
+
 
 class TestToBuchi:
     def test_ex3_no_prune_six_states(self, ex3_file, tmp_path, capsys):
@@ -503,23 +546,33 @@ def test_check_member_does_not_import_numpy(tmp_path):
 
 
 def test_loading_a_file_holds_the_table_not_the_text(tmp_path):
-    """`read_automaton`, which the CLI loads files with, streams a canonical
-    file: its traced peak is the table's 8 bytes a cell plus a working set
-    of one piece, which stays under the size of this 39,486-state file with layered origin comments."""
+    """`read_automaton`, which the CLI loads files with, streams a file,
+    also one that is not canonical: its traced peak is the table's 4 bytes
+    a cell plus a working set of about one block, which stays under the
+    size of this 39,486-state file with layered origin comments.  The
+    file as written, with one space more in its first `trans` line, and
+    with CRLF line ends."""
     n = 200
     tr = muller_to_buchi_maximal(chain_plus_random(n), MullerTable.of(range(n)))
-    path = tmp_path / "big.aut"
-    path.write_text(serialize_automaton(tr.automaton, tr.accepting, tr.origin))
-    bound = 8 * len(tr.automaton.delta) + (7 << 18)
-    assert tr.automaton.n_states >= 20000 and bound < path.stat().st_size
-    tracemalloc.start()
-    try:
-        loaded = read_automaton(str(path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert loaded == (tr.automaton, tr.accepting)
-    assert peak < bound
+    text = serialize_automaton(tr.automaton, tr.accepting, tr.origin)
+    bound = 4 * len(tr.automaton.delta) + (7 << 18)
+    edits = {
+        "canonical": text,
+        "one space more": text.replace("\ntrans 0 a ", "\ntrans 0 a  ", 1),
+        "crlf": text.replace("\n", "\r\n"),
+    }
+    for name, edited in edits.items():
+        path = tmp_path / "big.aut"
+        path.write_bytes(edited.encode())
+        assert tr.automaton.n_states >= 20000 and bound < path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = read_automaton(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == (tr.automaton, tr.accepting), name
+        assert peak < bound, name
 
 
 def test_to_buchi_below_the_kernel_threshold_does_not_import_numpy(tmp_path):

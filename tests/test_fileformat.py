@@ -31,12 +31,7 @@ from omega_baire import (
 )
 from omega_baire import fileformat
 from omega_baire.automaton import MAX_STATES
-from omega_baire.fileformat import (
-    _CHUNK_STATES,
-    _parse_general,
-    read_automaton,
-    serialize_chunks,
-)
+from omega_baire.fileformat import _CHUNK_STATES, read_automaton, serialize_chunks
 from omega_baire.to_buchi import LayeredOrigins
 from conftest import pinned_kernel, random_automaton
 
@@ -292,7 +287,27 @@ class TestLassoText:
 
 
 # ---------------------------------------------------------------------------
-# The bulk reader of canonical files against the line parser
+# The streaming reader against the line parser on whole-text lines
+
+
+def _parse_general(text: str | bytes):
+    """The reference reading: the whole text decoded at once, its
+    `str.splitlines` lines each taken by the line parser."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as e:
+            # The bytes before e.start decode; the bad byte opens a line if
+            # they end with a line break.
+            line = len((text[: e.start].decode("utf-8") + "x").splitlines())
+            raise FormatError(
+                f"invalid UTF-8 (byte 0x{text[e.start]:02x}: {e.reason})", line
+            ) from None
+    lines = text.splitlines()
+    parser = fileformat._LineParser()
+    for lineno, raw in enumerate(lines, start=1):
+        parser.line(lineno, raw)
+    return parser.result(len(lines) + 1)
 
 
 def _outcome(parse, text):
@@ -353,7 +368,7 @@ _EDITS = (
     "flip", "swap", "duplicate", "delete", "plus", "zero", "unicode-digit",
     "tab", "crlf", "comment", "trans-after-block", "block-twice", "out-of-range",
     "trans-after-comments", "accept-after-comments", "break-in-comment",
-    "no-final-newline", "indented-comment",
+    "no-final-newline", "indented-comment", "crlf-file", "cr-crlf", "break-in-trans",
 )
 
 
@@ -408,6 +423,14 @@ def _edit(text: str, a: DetAutomaton, kind: str, k: int, bit: int) -> str:
         lines.pop()
     elif kind == "indented-comment":
         lines[c] = " \t"[bit % 2] + lines[c]
+    elif kind == "crlf-file":
+        return "\r\n".join(lines)
+    elif kind == "cr-crlf":
+        lines[i] += "\r\r"
+    elif kind == "break-in-trans":
+        # Inside the line or at its end: "a\x85\n" is two lines.
+        pos = len(lines[i]) if bit % 2 else k % len(lines[i])
+        lines[i] = lines[i][:pos] + _BREAKS[bit % len(_BREAKS)] + lines[i][pos:]
     else:
         lines[i] = f"{head} {a.n_states + bit % 2 if bit % 3 else -1}"
     return "\n".join(lines)
@@ -449,9 +472,8 @@ def test_fast_and_general_parsers_agree(case, kind, k, bit, read_bytes):
 @given(canonical_files(), _READ_SIZES)
 @settings(max_examples=30, deadline=None)
 def test_canonical_files_take_the_bulk_reader(case, read_bytes):
-    """A canonical file never falls back to `_parse_general`, and of its
-    lines only the header and the `accept` lines reach the line parser:
-    not the `trans` block, nor the origin comments."""
+    """Of a canonical file's lines only the header and the `accept` lines
+    reach the line parser: not the `trans` block, nor the origin comments."""
     a, acc, text = case
     keys = []
     real_line = fileformat._LineParser.line
@@ -460,12 +482,8 @@ def test_canonical_files_take_the_bulk_reader(case, read_bytes):
         keys.append(real_line(self, lineno, raw))
         return keys[-1]
 
-    def no_fallback(text):
-        raise AssertionError("fell back to the line parser")
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fileformat._LineParser, "line", spy)
-        mp.setattr(fileformat, "_parse_general", no_fallback)
         mp.setattr(fileformat, "_READ_BYTES", read_bytes)
         assert _outcomes(text) == [(a, acc)] * 3
     accept_lines = len(acc.entries) if isinstance(acc, MullerTable) else 1
@@ -508,117 +526,193 @@ def test_non_ascii_comment_takes_the_bulk_reader(state, read_bytes):
         keys.append(real_line(self, lineno, raw))
         return keys[-1]
 
-    def no_fallback(text):
-        raise AssertionError("fell back to the line parser")
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fileformat._LineParser, "line", spy)
-        mp.setattr(fileformat, "_parse_general", no_fallback)
         mp.setattr(fileformat, "_READ_BYTES", read_bytes)
         assert _outcomes(edited) == [(a, acc)] * 3
     assert keys == (list(fileformat._HEADER_KEYS) + ["accept"]) * 3
 
 
+def _counting_decoded(read: list):
+    """A `_decoded` that appends the size of each block it is given to `read`."""
+    real = fileformat._decoded
+
+    def decoded(blocks):
+        def counted():
+            for block in blocks:
+                read.append(len(block))
+                yield block
+
+        return real(counted())
+
+    return decoded
+
+
 @pytest.mark.parametrize("after", ["# more", "more", ""])
 @pytest.mark.parametrize("read_bytes", [3, fileformat._READ_BYTES])
-def test_line_break_in_a_header_comment_falls_back_once(after, read_bytes):
+def test_line_break_in_a_header_comment_is_read_once(after, read_bytes):
     """A U+2028 in a comment on a header line ends that line for
-    `str.splitlines`: each way into the reader falls back to the line
-    parser once and agrees with it."""
+    `str.splitlines`: each way into the reader agrees with the line parser
+    on the whole text, and the bytes and the file are each read once."""
     a = random_automaton(random.Random(8), 40, 2)
     lines = serialize_automaton(a, BuchiSet.of(3)).split("\n")
-    real_general = fileformat._parse_general
-    fallbacks = []
-
-    def general(text):
-        fallbacks.append(text)
-        return real_general(text)
-
     for i in range(len(fileformat._HEADER_KEYS)):
         edited = "\n".join(lines[:i] + [lines[i] + " # note\u2028" + after] + lines[i + 1 :])
-        expected = _outcome(real_general, edited)
-        fallbacks.clear()
+        read = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fileformat, "_parse_general", general)
+            mp.setattr(fileformat, "_decoded", _counting_decoded(read))
             mp.setattr(fileformat, "_READ_BYTES", read_bytes)
-            assert _outcomes(edited) == [expected] * 3
-        assert len(fallbacks) == 3
+            assert _outcomes(edited) == [_outcome(_parse_general, edited)] * 3
+        assert sum(read) == 2 * len(edited.encode())
 
 
-def test_mismatch_after_first_chunk_falls_back_once(tmp_path):
-    """A mismatch in the last piece falls back to the line parser exactly
-    once, after every earlier piece was rendered and kept."""
-    rng = random.Random(4)
+def _read_with_one_doubt(tmp_path, state: int) -> list:
+    """Read a canonical file of three pieces, the last of 5 states, with
+    one space more in the `b` line of `state`, from its text and from a
+    file.  For each: the first state of each piece rendered, and the
+    keyword of each line that reaches the line parser."""
     n = 2 * _CHUNK_STATES + 5
-    a = random_automaton(rng, n, 2)
+    a = random_automaton(random.Random(4), n, 2)
     text = serialize_automaton(a, BuchiSet.of(0))
-    last = f"trans {n - 1} b {a.delta[-1]}\n"
-    edited = text.replace(last, f"trans {n - 1} b  {a.delta[-1]}\n")
-    assert edited != text
+    line = f"\ntrans {state} b {a.delta[2 * state + 1]}\n"
+    edited = text.replace(line, line.replace(" b ", " b  "))
+    assert len(edited) == len(text) + 1
     path = tmp_path / "edited.aut"
     path.write_text(edited)
-    renders = []
-    fallbacks = []
     real_render = fileformat._TransRenderer.__call__
-    real_general = fileformat._parse_general
+    real_line = fileformat._LineParser.line
+    seen = []
+    for source, parse in ((edited, parse_automaton), (path, read_automaton)):
+        renders, keys = [], []
 
-    def counted(self, first, stop, targets):
-        renders.append(first)
-        return real_render(self, first, stop, targets)
+        def render(self, first, stop, targets):
+            renders.append(first)
+            return real_render(self, first, stop, targets)
 
-    def general(text):
-        fallbacks.append(text)
-        return real_general(text)
+        def spy(self, lineno, raw):
+            keys.append(real_line(self, lineno, raw))
+            return keys[-1]
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fileformat._TransRenderer, "__call__", counted)
-        mp.setattr(fileformat, "_parse_general", general)
-        for source, parse in ((edited, parse_automaton), (path, read_automaton)):
-            renders.clear()
-            fallbacks.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fileformat._TransRenderer, "__call__", render)
+            mp.setattr(fileformat._LineParser, "line", spy)
             assert parse(source) == (a, BuchiSet.of(0))
-            assert renders == [0, _CHUNK_STATES, 2 * _CHUNK_STATES]
-            assert fallbacks == [edited if source is edited else edited.encode()]
+        seen.append((renders, keys))
+    return seen
+
+
+def test_doubt_in_the_last_piece_reads_only_its_lines(tmp_path):
+    """Every piece is rendered once, and of the `trans` block only the
+    last piece's 10 lines reach the line parser."""
+    expected = list(fileformat._HEADER_KEYS) + ["trans"] * 10 + ["accept"]
+    for renders, keys in _read_with_one_doubt(tmp_path, 2 * _CHUNK_STATES + 4):
+        assert renders == [0, _CHUNK_STATES, 2 * _CHUNK_STATES]
+        assert keys == expected
+
+
+def test_doubt_in_the_first_piece_leaves_later_pieces_in_bulk(tmp_path):
+    """The first piece is read line by line; every later piece is again
+    rendered and taken in bulk."""
+    expected = list(fileformat._HEADER_KEYS) + ["trans"] * (2 * _CHUNK_STATES) + ["accept"]
+    for renders, keys in _read_with_one_doubt(tmp_path, 0):
+        assert renders == [0, _CHUNK_STATES, 2 * _CHUNK_STATES]
+        assert keys == expected
 
 
 def test_non_utf8_bytes_name_their_line(tmp_path):
     """Bytes that are not UTF-8 are a `FormatError` that names the line of
-    the first bad one, the same from bytes and from a file, also when that
-    byte lies past the first read block."""
-    a = random_automaton(random.Random(6), 3 * _CHUNK_STATES, 2)
-    data = serialize_automaton(a, BuchiSet.of(1), {s: s for s in range(a.n_states)}).encode()
-    assert len(data) > 2 * fileformat._READ_BYTES
-    lines = data.split(b"\n")
-    # (index of the line replaced, its new bytes, line number, reason); the
-    # line after a lone "\r" counts as a line of its own.
-    cases = [
-        (len(lines) - 5, b"# state \xff", len(lines) - 4, "byte 0xff: invalid start byte"),
-        (1, b"states 3\r\xe2\x82", 3, "byte 0xe2: invalid continuation byte"),
-        (len(lines) - 1, b"# \xc3", len(lines), "byte 0xc3: unexpected end of data"),
-    ]
-    for index, line, lineno, reason in cases:
-        edited = b"\n".join(lines[:index] + [line] + lines[index + 1 :])
+    the first bad one, the same from bytes and from a file, whatever the
+    size of the blocks read, and also after an error of another kind."""
+    big = random_automaton(random.Random(6), 3 * _CHUNK_STATES, 2)
+    small = random_automaton(random.Random(6), 40, 2)
+    # Blocks of 1 to 7 bytes end inside every line, and right after the
+    # "\r" of a "\r\n" or of a lone "\r" too.
+    for a, sizes in ((big, [fileformat._READ_BYTES]), (small, range(1, 8))):
+        data = serialize_automaton(a, BuchiSet.of(1), {s: s for s in range(a.n_states)}).encode()
+        assert a is small or len(data) > 2 * fileformat._READ_BYTES  # past the first block
+        lines = data.split(b"\n")
+        n = len(lines)
+        # ({index of a line: its new bytes}, line number, reason); a lone
+        # "\r" ends a line, and a "\r\n" is one line break.
+        cases = [
+            ({n - 5: b"# state \xff"}, n - 4, "byte 0xff: invalid start byte"),
+            ({1: b"states 3\r\xe2\x82"}, 3, "byte 0xe2: invalid continuation byte"),
+            ({n - 1: b"# \xc3"}, n, "byte 0xc3: unexpected end of data"),
+            ({2: b"initial 0\r\n# \xff"}, 4, "byte 0xff: invalid start byte"),
+            # A header error on line 3: the bad byte after it still goes first,
+            # and a "\r\n" between them is still one line break.
+            ({2: b"initial x", n - 5: b"# state \xff"}, n - 4, "byte 0xff: invalid start byte"),
+            ({2: b"initial x", 9: lines[9] + b"\r", n - 5: b"# state \xff"}, n - 4,
+             "byte 0xff: invalid start byte"),
+        ]
         path = tmp_path / "bad.aut"
-        path.write_bytes(edited)
-        expected = f"line {lineno}: invalid UTF-8 ({reason})"
-        for parse, source in ((parse_automaton, edited), (read_automaton, path)):
-            with pytest.raises(FormatError) as exc:
-                parse(source)
-            assert type(exc.value) is FormatError
-            assert str(exc.value) == expected
+        for read_bytes in sizes:
+            for edits, lineno, reason in cases:
+                edited = b"\n".join(edits.get(i, line) for i, line in enumerate(lines))
+                path.write_bytes(edited)
+                for parse, source in ((parse_automaton, edited), (read_automaton, path)):
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(fileformat, "_READ_BYTES", read_bytes)
+                        with pytest.raises(FormatError) as exc:
+                            parse(source)
+                    assert type(exc.value) is FormatError
+                    assert str(exc.value) == f"line {lineno}: invalid UTF-8 ({reason})"
 
 
-def test_unseekable_file_is_read_whole(tmp_path):
-    """A pipe cannot be read twice; a file that is not canonical still
-    parses from one."""
+def test_early_copy_of_a_later_line_keeps_its_piece_from_the_bulk_reader():
+    """A copy of a line of the second piece ahead of the first: it waits
+    while the first piece is read, so the second piece is read line by
+    line and its own line is a duplicate, as for the line parser."""
+    a = random_automaton(random.Random(5), _CHUNK_STATES + 5, 2)
+    lines = serialize_automaton(a, BuchiSet.of(0)).split("\n")
+    i = 4 + 2 * _CHUNK_STATES + 3  # the header takes four lines
+    edited = "\n".join(lines[:4] + [lines[i]] + lines[4:])
+    expected = _outcome(_parse_general, edited)
+    assert expected[:2] == (DuplicateTransition, i + 2)
+    assert _outcomes(edited) == [expected] * 3
+
+
+def test_crlf_comment_tail_is_split_in_batches():
+    """Comment lines with a "\r" are not passed as a run, but neither is
+    each one a batch of its own: a CRLF file's lines are split a block of
+    text at a time."""
+    a = random_automaton(random.Random(3), 300, 2)
+    origins = {s: s for s in range(a.n_states)}
+    text = serialize_automaton(a, BuchiSet.of(1), origins).replace("\n", "\r\n")
+    batches = []
+    real_lines = fileformat._Cursor.lines
+
+    def lines(self):
+        batches.append(real_lines(self))
+        return batches[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileformat._Cursor, "lines", lines)
+        mp.setattr(fileformat, "_READ_BYTES", 1024)
+        assert parse_automaton(text) == (a, BuchiSet.of(1))
+    # At most about one batch per block, where a batch a line would be
+    # one per comment line.
+    assert len(batches) < len(text) // 1024 + 10 < a.n_states
+
+
+def test_fifo_is_read_once_in_blocks(tmp_path):
+    """A pipe cannot be read twice: a file that is not canonical (here
+    with CRLF line ends) is read from one once, a block at a time."""
     path = tmp_path / "pipe"
     os.mkfifo(path)
-    text = "# from a pipe\n" + EX1_TEXT
-    writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
-    writer.start()
-    assert read_automaton(path) == parse_automaton(EX1_TEXT)
+    a = random_automaton(random.Random(3), 300, 2)
+    origins = {s: s for s in range(a.n_states)}
+    data = serialize_automaton(a, BuchiSet.of(1), origins).replace("\n", "\r\n").encode()
+    writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+    read = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileformat, "_decoded", _counting_decoded(read))
+        mp.setattr(fileformat, "_READ_BYTES", 1024)
+        writer.start()
+        assert read_automaton(path) == (a, BuchiSet.of(1))
     writer.join(timeout=10)
     assert not writer.is_alive()
+    assert sum(read) == len(data) and max(read) <= 1024 and len(read) > len(data) // 1024
 
 
 _LINE_PIECES = st.sampled_from(
