@@ -14,9 +14,10 @@ state, the targets that leave a block and the targets of the top corners
 reach without entering a first member.
 
 The table is built by one of two kernels that build the same automaton: a
-numpy one and a pure-Python one.  The numpy kernel prunes by that rule, all
-layers of a block at once; the Python kernel walks the grid from the
-initial state, the independent route.  `_numpy_kernel` picks numpy from
+numpy one and a pure-Python one.  The numpy kernel first finds the kept
+states by that rule, all layers of a block at once, then writes only their
+rows; the Python kernel builds the whole grid and walks it from the initial
+state, the independent route.  `_numpy_kernel` picks numpy from
 `VECTORIZE_THRESHOLD` output cells on, importing it if need be, and from
 the much smaller `automaton.numpy_if_loaded` crossover on once numpy is
 already imported; below both, Python.  So a process that has not loaded
@@ -45,8 +46,10 @@ from .loops import SccAnalysis, analyze, is_loop, level_order
 # import costs 150-190 ms; below it, only if numpy is already imported and
 # the output reaches `numpy_if_loaded`'s crossover (see `_numpy_kernel`).
 VECTORIZE_THRESHOLD = 1 << 16
-# Rows of the layered table the numpy prune renumbers per slice.
-_PRUNE_ROWS = 1 << 12
+# Rows, in whole layers of a block, that the numpy kernel makes and writes
+# per slice; a row costs about 24 B of peak.  On the ROADMAP family at n=2000
+# (2-vCPU x86-64) 2^11 was slower than a whole-table build, 2^12-2^15 faster.
+_PRUNE_ROWS = 1 << 13
 # After a round of `_block_layers` in which fewer than one row word in this
 # many gained a bit, the next round pushes those words alone; after a busier
 # one it ORs every row.  Ratios of 4 to 32 build the benchmark ladder within
@@ -54,8 +57,8 @@ _PRUNE_ROWS = 1 << 12
 # (2-vCPU x86-64, numpy 2.4).
 _PUSH_RATIO = 8
 # Largest unpruned output, in (state, symbol) cells, that the translation
-# builds.  With 4-byte tables `to-buchi` peaks at about 18 B per cell end to
-# end (93.3 MiB for 2.64M unpruned states at n=2000 and 2 letters, 93.3 MiB
+# builds.  With 4-byte tables `to-buchi` peaks at about 15 B per cell end to
+# end (74.3 MiB for 2.64M unpruned states at n=2000 and 2 letters, 64.2 MiB
 # for 1.37M at n=1200 and 4 letters, random tables from random.Random(5));
 # with 8-byte ones it took 26-31 B (153.5 and 138.1 MiB).  The budget keeps
 # the 35 B measured then, until a run near it is measured: half of an 8 GB
@@ -263,49 +266,11 @@ def _layered_delta_python(
     return flat
 
 
-def _layered_delta_numpy(
-    a: DetAutomaton,
-    orderings: list[list[int]],
-    offsets: list[int],
-    block_of: list[int],
-    rank0: list[int],
-    first_of: list[int],
-    total: int,
-):
-    """The layered table as a (total, r) array.  Layers 1..k-1 of a block
-    differ only in their row offset and promoted rank, so one (k-1, k, r)
-    broadcast fills them; the top layer is the member targets."""
-    import numpy as np
-
-    n = a.n_states
-    r = len(a.alphabet)
-    delta2d = np.frombuffer(a.delta, dtype=np.intc).reshape(n, r)
-    block_np = np.asarray(block_of, dtype=np.intc)
-    rank_np = np.asarray(rank0, dtype=np.intc)
-    first_np = np.asarray(first_of, dtype=np.intc)
-
-    flat = np.empty((total, r), dtype=np.intc)
-    flat[:n] = np.where(first_np[delta2d] >= 0, first_np[delta2d], delta2d)
-    for bi, members in enumerate(orderings):
-        k = len(members)
-        off = offsets[bi]
-        member_targets = delta2d[np.asarray(members)]
-        in_block = block_np[member_targets] == bi
-        ranks = rank_np[member_targets]
-        j = np.arange(1, k, dtype=np.intc).reshape(-1, 1, 1)
-        layers = flat[off : off + (k - 1) * k].reshape(k - 1, k, r)
-        layers[...] = member_targets
-        np.add(off + (j - 1) * k, ranks, out=layers, where=in_block)
-        np.copyto(layers, off + j * k + j, where=in_block & (ranks == j))
-        flat[off + (k - 1) * k : off + k * k] = member_targets
-    return flat
-
-
 def _prune_python(flat: list[int], r: int, initial: int):
     """Reachability over the layered table by one level-order walk from the
-    initial state: the independent route to the states that `_prune_numpy`
-    derives from each block's graph, and in Python a walk pays per state,
-    not per level.
+    initial state: the independent route to the states that
+    `_layered_delta_numpy` derives from each block's graph, and in Python a
+    walk pays per state, not per level.
 
     The walk's states are marked in `seen`; the kept cells are picked by a
     mask repeating `seen` once per symbol, and each target is renumbered by
@@ -402,12 +367,22 @@ def _block_layers(succ):
     return bits.T.view(bool)
 
 
-def _prune_numpy(flat2d, a: DetAutomaton, orderings, offsets, block_of, rank0):
-    """Reachability over the layered table by the rule in the module
-    docstring: `_block_layers` for the layers below the top of each block,
-    its corner for the top layer, and for layer 0 one level-order walk over
-    at most |S| states.  The rule holds because every corner is reachable
-    from the initial state:
+def _layered_delta_numpy(
+    a: DetAutomaton,
+    orderings: list[list[int]],
+    offsets: list[int],
+    block_of: list[int],
+    rank0: list[int],
+    first_of: list[int],
+    total: int,
+    prune: bool,
+):
+    """The layered table and its kept states, in numpy.  Under `prune` the
+    kept states are found first, by the rule in the module docstring:
+    `_block_layers` for the layers below the top of each block, its corner
+    for the top layer, and for layer 0 one level-order walk over at most
+    |S| states.  The rule holds because every corner is reachable from the
+    initial state:
       * every block is a loop, so it is reachable, and it is an SCC, so once
         the run is in the block it can reach the block's first state; from
         layer 0, or already at layer 1, that is the layer-1 corner;
@@ -415,64 +390,87 @@ def _prune_numpy(flat2d, a: DetAutomaton, orderings, offsets, block_of, rank0):
         keeps layer j until it reaches `members[j]`, which promotes it to
         the layer-(j+1) corner.
     So every member is some layer's corner and every layer-0 seed the
-    target of a kept state.
+    target of a kept state.  Without `prune` every state is kept.
 
-    Row gathers use `take`, which is much faster than fancy indexing on a
-    two-column table.  The renumbered table and the kept states are written
-    a slice of rows at a time straight into the C int arrays that the
-    automaton and its origins keep, so nothing is copied after the prune and
-    the peak holds the two tables, the kept states, the renumbering map and
-    the visited mask.  Each large block the heap does not have to place is
-    one less way for the peak resident size of a process that translates
-    again and again to depend on where the allocator put the last ones."""
+    Then the layers are made a slice at a time: the layer-1 rows of the
+    block shifted to each layer's offset, with the cells of the layer's own
+    rank promoted to the next corner.  Only the kept rows, renumbered, go
+    straight into the C int arrays that the automaton and its origins keep,
+    so no unpruned table is made and no table is copied afterwards.  `take`
+    and `compress` gather rows about 7x faster than fancy or mask indexing."""
     import numpy as np
 
-    n = a.n_states
     r = len(a.alphabet)
-    total = len(flat2d)
+    delta2d = np.frombuffer(a.delta, dtype=np.intc).reshape(-1, r)
     block_np = np.asarray(block_of, dtype=np.intc)
     rank_np = np.asarray(rank0, dtype=np.intc)
-    visited = np.zeros(total, dtype=bool)
-    seeds = [np.array([a.initial], dtype=np.intc)]
-    for bi, members in enumerate(orderings):
-        k = len(members)
-        top = offsets[bi] + (k - 1) * k
-        targets = flat2d[top : top + k]  # the top layer: the member targets
-        in_block = block_np[targets] == bi
-        seeds += [targets[~in_block], targets[-1]]
-        visited[top + k - 1] = True  # the top corner
-        if k > 1:
-            succ = np.where(in_block, rank_np.take(targets), np.arange(k)[:, None])
-            grid = visited[offsets[bi] : top].reshape(k - 1, k)
-            grid[...] = _block_layers(succ)
-    layer0 = flat2d[:n]
-    frontier = np.concatenate(seeds)
-    visited[frontier] = True
-    stamp = np.empty(total, dtype=np.intc)
-    while frontier.size:
-        # An edge into a first member enters its layer-1 corner, marked above.
-        nxt = layer0.take(frontier, axis=0).ravel()
-        nxt = nxt[~visited[nxt]]
-        positions = np.arange(nxt.size, dtype=np.intc)
-        stamp[nxt] = positions
-        frontier = nxt[stamp[nxt] == positions]  # one copy of each state
+    first = np.asarray(first_of, dtype=np.intc).take(delta2d)
+    layer0 = np.where(first >= 0, first, delta2d)
+    # Per block, the member targets (the top layer) and which stay inside.
+    blocks = [
+        (targets, block_np.take(targets) == bi)
+        for bi, targets in enumerate(delta2d.take(m, axis=0) for m in orderings)
+    ]
+    kept: Sequence[int] = range(total)
+    if prune:
+        visited = np.zeros(total, dtype=bool)
+        seeds = [np.array([a.initial], dtype=np.intc)]
+        for bi, (targets, in_block) in enumerate(blocks):
+            k = len(targets)
+            top = offsets[bi] + (k - 1) * k
+            seeds += [targets[~in_block], targets[-1]]
+            visited[top + k - 1] = True  # the top corner
+            if k > 1:
+                succ = np.where(in_block, rank_np.take(targets), np.arange(k)[:, None])
+                grid = visited[offsets[bi] : top].reshape(k - 1, k)
+                grid[...] = _block_layers(succ)
+        frontier = np.concatenate(seeds)
         visited[frontier] = True
-    renumber = np.cumsum(visited, dtype=np.intc, out=stamp)
-    del stamp
-    size = int(renumber[-1])
-    renumber -= 1
-    table = array("i", [0]) * (size * r)
-    kept = array("i", [0]) * size
-    table_np = np.frombuffer(table, dtype=np.intc).reshape(size, r)
-    kept_np = np.frombuffer(kept, dtype=np.intc)
+        stamp = np.empty(total, dtype=np.intc)
+        while frontier.size:
+            # An edge into a first member enters its layer-1 corner, marked above.
+            nxt = layer0.take(frontier, axis=0).ravel()
+            nxt = nxt[~visited[nxt]]
+            positions = np.arange(nxt.size, dtype=np.intc)
+            stamp[nxt] = positions
+            frontier = nxt[stamp[nxt] == positions]  # one copy of each state
+            visited[frontier] = True
+        renumber = np.cumsum(visited, dtype=np.intc, out=stamp)
+        del stamp
+        kept = array("i", [0]) * int(renumber[-1])
+        renumber -= 1
+        np.frombuffer(kept, dtype=np.intc)[:] = np.flatnonzero(visited)
+    table = array("i", [0]) * (len(kept) * r)
+    table_np = np.frombuffer(table, dtype=np.intc).reshape(-1, r)
     at = 0
-    for lo in range(0, total, _PRUNE_ROWS):
-        rows = np.flatnonzero(visited[lo : lo + _PRUNE_ROWS])
-        rows += lo
-        hi = at + rows.size
-        kept_np[at:hi] = rows
-        table_np[at:hi] = renumber.take(flat2d.take(rows, axis=0))
-        at = hi
+
+    def write(rows, lo: int) -> None:
+        """Write the kept ones of `rows`, the rows of states lo, lo + 1, ..."""
+        nonlocal at
+        if prune:
+            rows = renumber.take(rows.compress(visited[lo : lo + len(rows)], axis=0))
+        table_np[at : at + len(rows)] = rows
+        at += len(rows)
+
+    write(layer0, 0)
+    for off, (targets, in_block) in zip(offsets, blocks):
+        k = len(targets)
+        # Rank 0 for a target outside the block: no layer j >= 1 promotes it.
+        ranks = np.where(in_block, rank_np.take(targets), 0).ravel()
+        base = np.where(in_block, off + ranks.reshape(k, r), targets)  # layer 1
+        cells = ranks.argsort()
+        starts = np.searchsorted(ranks.take(cells), np.arange(k + 1))
+        step = max(1, _PRUNE_ROWS // k)
+        for j0 in range(1, k, step):
+            j1 = min(j0 + step, k)
+            shift = np.arange((j0 - 1) * k, (j1 - 1) * k, k, dtype=np.intc)
+            layers = np.multiply.outer(shift, in_block)
+            layers += base
+            promoted = cells[starts[j0] : starts[j1]]  # the cells of ranks j0..j1-1
+            q = ranks.take(promoted)
+            layers.reshape(j1 - j0, -1)[q - j0, promoted] = off + q * (k + 1)
+            write(layers.reshape(-1, r), off + (j0 - 1) * k)
+        write(targets, off + (k - 1) * k)
     return table, kept
 
 
@@ -538,14 +536,14 @@ def muller_to_buchi_maximal(
     # Per block, the top corner `(members[-1], k)`, which accepts.
     tops = [off + len(m) ** 2 - 1 for off, m in zip(offsets, orderings)]
 
-    use_numpy = _numpy_kernel(total * r)
-    layered = _layered_delta_numpy if use_numpy else _layered_delta_python
-    flat_table = layered(a, orderings, offsets, block_of, rank0, first_of, total)
+    args = (a, orderings, offsets, block_of, rank0, first_of, total)
     kept: Sequence[int] = range(total)
-    if prune and use_numpy:
-        flat_table, kept = _prune_numpy(flat_table, a, orderings, offsets, block_of, rank0)
-    elif prune:
-        flat_table, kept = _prune_python(flat_table, r, a.initial)
+    if _numpy_kernel(total * r):
+        flat_table, kept = _layered_delta_numpy(*args, prune)
+    else:
+        flat_table = _layered_delta_python(*args)
+        if prune:
+            flat_table, kept = _prune_python(flat_table, r, a.initial)
 
     # kept is ascending, so renumbering of the few special states is a
     # binary search instead of a full index map.

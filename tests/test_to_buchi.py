@@ -530,12 +530,13 @@ def test_python_kernel_peak_memory_per_output_state():
 def test_numpy_kernel_peak_memory_per_output_state():
     # The same 31,572 output states as the Python kernel's test above, on
     # the numpy kernel (pinned, since the table is below
-    # `VECTORIZE_THRESHOLD`).  The traced peak is about 31.1 B per output
-    # state: the unpruned and the pruned table (8 B a state each at two
-    # letters), the kept states and the renumbering map (4 B each) and the
-    # visited mask; the per-block layer rows are freed before the map is
+    # `VECTORIZE_THRESHOLD`).  The traced peak is about 28.3 B per output
+    # state: the table (8 B a state at two letters), the kept states and
+    # the renumbering map (4 B each), the visited mask and one slice of
+    # `_PRUNE_ROWS` rows on its way into the table; no unpruned table is
     # made.  One more array of 4 B a state at the peak, such as a copy of
-    # the kept states, would pass 33 B.
+    # the kept states, would pass 30 B, and so would the 31.1 B of a build
+    # that holds the unpruned table beside the pruned one.
     import numpy  # noqa: F401  (imported here so that its import is not traced)
 
     n = 180
@@ -550,15 +551,16 @@ def test_numpy_kernel_peak_memory_per_output_state():
     finally:
         tracemalloc.stop()
     assert tr.automaton.n_states == 31572
-    assert peak / tr.automaton.n_states < 33
+    assert peak / tr.automaton.n_states < 30
 
 
 def test_translation_peak_memory_per_output_state():
     # One 400-state SCC, about 158k output states on the numpy kernel.  At
-    # its traced peak the prune holds the unpruned and the pruned table (8 B
-    # a state each at two letters), the kept list, the renumbering map and
-    # the visited mask: about 26.4 B per output state.  One more array of 4 B
-    # a state at the peak, such as a copy of the kept list, would pass 30 B.
+    # its traced peak it holds the table (8 B a state at two letters), the
+    # kept list, the renumbering map, the visited mask and one slice of rows:
+    # about 19.4 B per output state.  One more array of 4 B a state at the
+    # peak, such as a copy of the kept list, would pass 23 B, and so would
+    # the 26.4 B of a build that holds the unpruned table as well.
     import numpy  # noqa: F401  (imported here so that its import is not traced)
 
     n = 400
@@ -572,13 +574,15 @@ def test_translation_peak_memory_per_output_state():
     finally:
         tracemalloc.stop()
     assert tr.unpruned_state_count * len(a.alphabet) >= to_buchi.VECTORIZE_THRESHOLD
-    assert peak / tr.automaton.n_states < 30
+    assert peak / tr.automaton.n_states < 23
 
 
 def test_numpy_translation_peak_memory_per_unpruned_cell():
-    # Every table is C ints, 4 B a cell: the numpy translation of the
-    # chain-plus-random SCC at n=300 (180,600 unpruned cells) peaks at about
-    # 13.4 B per unpruned cell traced, against 25.3 B with 8-byte tables.
+    # Every table is C ints, 4 B a cell, and only the kept rows are written:
+    # the numpy translation of the chain-plus-random SCC at n=300 (180,600
+    # unpruned cells) peaks at about 10.4 B per unpruned cell traced, against
+    # 13.4 B when it held the unpruned table too and 25.3 B with 8-byte
+    # tables.
     import numpy  # noqa: F401  (imported here so that its import is not traced)
 
     n = 300
@@ -593,7 +597,33 @@ def test_numpy_translation_peak_memory_per_unpruned_cell():
     finally:
         tracemalloc.stop()
     assert tr.automaton.delta.typecode == "i" and tr.origin._kept.typecode == "i"
-    assert peak / (tr.unpruned_state_count * len(a.alphabet)) <= 18
+    assert peak / (tr.unpruned_state_count * len(a.alphabet)) <= 12
+
+
+def test_numpy_unpruned_peak_memory_per_state():
+    # Without pruning, the numpy kernel keeps every state of the same n=300
+    # SCC (90,300 states) and writes the rows through the same writer, with
+    # no kept list and no renumbering: the traced peak is about 10.6 B a
+    # state, the table (8 B a state at two letters) and one slice of rows.
+    # A kept list or an identity renumbering map (4 B a state each) would
+    # pass 14 B, and so would the 16.7 B of a build that copied a (states,
+    # letters) numpy table into the automaton's table.
+    import numpy  # noqa: F401  (imported here so that its import is not traced)
+
+    n = 300
+    a = chain_plus_random(n)
+    t = MullerTable.of(range(n))
+    analysis = analyze(a)
+    tracemalloc.start()
+    try:
+        with pinned_kernel(True):
+            tr = muller_to_buchi_maximal(a, t, analysis, prune=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.automaton.n_states == tr.unpruned_state_count == n + n * n
+    assert isinstance(tr.origin._kept, range)
+    assert peak / tr.automaton.n_states < 14
 
 
 def test_translation_cells_fit_a_c_int():
