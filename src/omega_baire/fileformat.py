@@ -24,14 +24,15 @@ need not hold the whole text.
 
 A file is read in one pass, a block of bytes at a time through an
 incremental UTF-8 decoder, holding the transition table but neither the
-text nor a list of its lines (`_read`).  Its `str.splitlines` lines go
-through the line parser, but for two kinds of run that cannot change the
-result: a piece of a few thousand states of the `trans` block whose text
-is exactly the rendering of its own targets, all in range, is taken in
-bulk, and a run of comment lines with no line break but newline is passed
-unsplit.  So a file written here is read at bulk speed, and any other
-file (other line order, spacing, comments, CRLF line ends, a pipe) gets
-the same result, error and line number as from the line parser alone.
+text nor a list of its lines (`_read`).  Where text enters the reader,
+each `str.splitlines` line break (CRLF, CR, U+2028, ...) becomes one
+newline (`_newlines`).  The lines go through the line parser, but for two
+kinds of run that cannot change the result: a piece of a few thousand
+states of the `trans` block whose text is exactly the rendering of its
+own targets, all in range, is taken in bulk, and a run of comment lines
+is passed unsplit.  So a file written here, with any line breaks, is read
+at bulk speed, and any other file (other line order, spacing, comments, a
+pipe) gets the same result, error and line number as the line parser's.
 """
 
 from __future__ import annotations
@@ -59,10 +60,8 @@ _RESERVED = frozenset("{},:")  # never in a symbol token (nor whitespace or '#')
 _CHUNK_STATES = 2048
 # Bytes per read of a file, and characters per batch of lines to split.
 _READ_BYTES = 1 << 17
-# The characters other than "\n" at which `str.splitlines` ends a line, and
-# those but "\r" (which may open a "\r\n") with "\n": the ends of a whole line.
-_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_LINE_ENDS = "\n" + _OTHER_BREAKS[1:]
+# The line breaks of `str.splitlines` but "\n", in the order to write each as "\n".
+_BREAKS = ("\r\n", *"\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
 # Ends a run of comment lines: a newline not followed by '#'.
 _COMMENT_RUN_END = re.compile("\n[^#]")
 _LAYERED_COMMENT = "# state %d: layered (%d, %d)\n"
@@ -126,7 +125,7 @@ def parse_automaton(text: str | bytes) -> _Parsed:
     sink completion).
     """
     if isinstance(text, str):
-        return _read(iter((text,)))
+        return _read(iter((_newlines(text),)))
     data = memoryview(text)
     return _read(_decoded(data[i : i + _READ_BYTES] for i in range(0, len(data), _READ_BYTES)))
 
@@ -139,28 +138,31 @@ def read_automaton(path: str | Path) -> _Parsed:
 
 
 def _decoded(blocks: Iterable[bytes]) -> Iterator[str]:
-    """The UTF-8 text of `blocks`, a piece per block; a character split
-    between blocks comes out whole in the later piece.  At a byte that is
-    not UTF-8 the text before it comes out, then a `FormatError` with no
-    line, which `_Cursor.fill` adds."""
+    """The UTF-8 text of `blocks` through `_newlines`, a piece per block; a
+    character split between blocks, or a CR that ends one, comes out in
+    the later piece.  At a byte that is not UTF-8 the text before it comes
+    out, then a `FormatError` with no line, which `_Cursor.fill` adds."""
     decoder = codecs.getincrementaldecoder("utf-8")()
+    held = ""  # a "\r" that may open a "\r\n"
     try:
         for block in blocks:
-            yield decoder.decode(block)
-        yield decoder.decode(b"", True)
+            text = held + decoder.decode(block)
+            held = text[-1:] if text.endswith("\r") else ""
+            yield _newlines(text[: len(text) - len(held)])
+        yield _newlines(held + decoder.decode(b"", True))
     except UnicodeDecodeError as e:
-        yield e.object[: e.start].decode("utf-8")
+        yield _newlines(held + e.object[: e.start].decode("utf-8"))
         raise FormatError(f"invalid UTF-8 (byte 0x{e.object[e.start]:02x}: {e.reason})") from None
 
 
-def _first_other_break(text: str, start: int, stop: int) -> int:
-    """The index of the first line break other than newline in
-    `text[start:stop]`, or `stop` if there is none."""
-    for c in _OTHER_BREAKS:
-        i = text.find(c, start, stop)
-        if i >= 0:
-            stop = i
-    return stop
+def _newlines(text: str) -> str:
+    """`text` with each `str.splitlines` line break written as one newline,
+    or `text` itself if it has no other break.  Each break is whitespace
+    to `str.split`, so no line changes its tokens."""
+    for brk in _BREAKS:
+        if brk[0] in text:  # a search for "\r\n" itself takes some 80 times longer
+            text = text.replace(brk, "\n")
+    return text
 
 
 class _LineParser:
@@ -290,9 +292,9 @@ class _LineParser:
 
 
 class _Cursor:
-    """The lines of text that arrives in blocks, as `str.splitlines` cuts
-    them.  `buf[pos:]` is the text not yet handed out; `pos` is at the
-    start of a line, and `lineno` counts the lines before it."""
+    """The lines of text that arrives in blocks, with no line break but
+    newline (`_newlines`).  `buf[pos:]` is the text not yet handed out;
+    `pos` is at the start of a line, and `lineno` counts the lines before it."""
 
     def __init__(self, blocks: Iterator[str]):
         self._blocks = blocks
@@ -316,18 +318,17 @@ class _Cursor:
             else:
                 self.ended = True
         except FormatError as e:
-            # The last part is the text before the bad byte, which opens a
-            # line if that text ends with a line break.
-            line = self.lineno + len(("".join(parts) + "x").splitlines())
+            # The last part is the text before the bad byte.
+            line = self.lineno + 1 + sum(part.count("\n") for part in parts)
             raise FormatError(str(e), line) from None
         self.buf = "".join(parts)  # one part is kept as it is, not copied
         self.pos = 0
 
     def lines(self) -> list[str]:
-        """The next lines, each with its line break, after the run of
-        comment lines that `skip_comments` passes; [] at the end of the
-        text.  Lines with no line break but newline stop before the next
-        comment line, so that its run is passed too."""
+        """The next lines, each with its newline, after the run of comment
+        lines that `skip_comments` passes; [] at the end of the text.  The
+        lines stop before the next comment line, so that its run is passed
+        too."""
         self.skip_comments()
         size = _READ_BYTES
         while True:
@@ -336,11 +337,11 @@ class _Cursor:
             end = min(len(buf), pos + size)
             whole = self.ended and end == len(buf)  # the last line ends at `end`
             cut = buf.find("\n#", pos, end) + 1
-            if cut and _first_other_break(buf, pos, cut) == cut:
+            if cut:
                 end, whole = cut, True
             lines = buf[pos:end].splitlines(True)
-            if lines and not whole and lines[-1][-1] not in _LINE_ENDS:
-                lines.pop()  # it may go on, or its "\r" open a "\r\n", in text to come
+            if lines and not whole and lines[-1][-1] != "\n":
+                lines.pop()  # it may go on in text to come
             if lines or whole:
                 self.pos = pos + sum(map(len, lines))
                 self.lineno += len(lines)
@@ -348,8 +349,7 @@ class _Cursor:
             size *= 2
 
     def skip_comments(self) -> None:
-        """Pass the run of lines at `pos` that start with '#' and hold no
-        line break other than newline."""
+        """Pass the run of lines at `pos` that start with '#'."""
         size = _READ_BYTES
         while True:
             self.fill(size)
@@ -358,13 +358,13 @@ class _Cursor:
                 return
             limit = min(len(buf), pos + size)
             run = _COMMENT_RUN_END.search(buf, pos, limit)
-            stop = _first_other_break(buf, pos, run.start() + 1 if run else limit)
-            end = buf.rfind("\n", pos, stop) + 1  # past the run's last whole line
+            # Past the run's last whole line within `limit`.
+            end = run.start() + 1 if run else buf.rfind("\n", pos, limit) + 1
             if end > pos:
                 self.lineno += buf.count("\n", pos, end)
                 self.pos, size = end, _READ_BYTES
-            elif stop < limit or (self.ended and limit == len(buf)):
-                return  # the line at `pos` holds another break, or ends the text
+            elif self.ended and limit == len(buf):
+                return  # the line at `pos` ends the text
             else:
                 size *= 2  # the line at `pos` goes on past `limit`
 
@@ -373,10 +373,8 @@ class _Cursor:
         in it still raises its `FormatError`."""
         while not self.ended:
             self.fill(len(self.buf) - self.pos + 1)
-            # Count the lines read but for a last "\r", which may open a "\r\n".
-            end = len(self.buf) - self.buf.endswith("\r")
-            self.lineno += len((self.buf[self.pos : end] + "x").splitlines()) - 1
-            self.pos = end
+            self.lineno += self.buf.count("\n", self.pos)
+            self.pos = len(self.buf)
 
 
 def _read(blocks: Iterator[str]) -> _Parsed:

@@ -369,6 +369,7 @@ _EDITS = (
     "tab", "crlf", "comment", "trans-after-block", "block-twice", "out-of-range",
     "trans-after-comments", "accept-after-comments", "break-in-comment",
     "no-final-newline", "indented-comment", "crlf-file", "cr-crlf", "break-in-trans",
+    "cr-file", "u2028-file",
 )
 
 
@@ -425,6 +426,10 @@ def _edit(text: str, a: DetAutomaton, kind: str, k: int, bit: int) -> str:
         lines[c] = " \t"[bit % 2] + lines[c]
     elif kind == "crlf-file":
         return "\r\n".join(lines)
+    elif kind == "cr-file":
+        return "\r".join(lines)
+    elif kind == "u2028-file":
+        return "\u2028".join(lines)
     elif kind == "cr-crlf":
         lines[i] += "\r\r"
     elif kind == "break-in-trans":
@@ -472,22 +477,26 @@ def test_fast_and_general_parsers_agree(case, kind, k, bit, read_bytes):
 @given(canonical_files(), _READ_SIZES)
 @settings(max_examples=30, deadline=None)
 def test_canonical_files_take_the_bulk_reader(case, read_bytes):
-    """Of a canonical file's lines only the header and the `accept` lines
-    reach the line parser: not the `trans` block, nor the origin comments."""
-    a, acc, text = case
-    keys = []
-    real_line = fileformat._LineParser.line
-
-    def spy(self, lineno, raw):
-        keys.append(real_line(self, lineno, raw))
-        return keys[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fileformat._LineParser, "line", spy)
-        mp.setattr(fileformat, "_READ_BYTES", read_bytes)
-        assert _outcomes(text) == [(a, acc)] * 3
+    """Of a canonical file's lines, with any line break, only the header
+    and the `accept` lines reach the line parser: not the `trans` block,
+    nor the origin comments.  Blocks of a few bytes end some between the
+    CR and the LF of a CRLF."""
+    a, acc, canonical = case
     accept_lines = len(acc.entries) if isinstance(acc, MullerTable) else 1
-    assert keys == (list(fileformat._HEADER_KEYS) + ["accept"] * accept_lines) * 3
+    real_line = fileformat._LineParser.line
+    for newline in ("\n", "\r\n", "\r", "\x0c", "\u2028"):
+        keys = []
+
+        def spy(self, lineno, raw):
+            keys.append(real_line(self, lineno, raw))
+            return keys[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fileformat._LineParser, "line", spy)
+            mp.setattr(fileformat, "_READ_BYTES", read_bytes)
+            assert _outcomes(canonical.replace("\n", newline)) == [(a, acc)] * 3
+        expected = (list(fileformat._HEADER_KEYS) + ["accept"] * accept_lines) * 3
+        assert keys == expected, repr(newline)
 
 
 @pytest.mark.parametrize("brk", _BREAKS)
@@ -673,12 +682,13 @@ def test_early_copy_of_a_later_line_keeps_its_piece_from_the_bulk_reader():
 
 
 def test_crlf_comment_tail_is_split_in_batches():
-    """Comment lines with a "\r" are not passed as a run, but neither is
-    each one a batch of its own: a CRLF file's lines are split a block of
-    text at a time."""
+    """Indented comment lines (here in a CRLF file) are not passed as a
+    run, but neither is each one a batch of its own: their lines are split
+    a block of text at a time."""
     a = random_automaton(random.Random(3), 300, 2)
     origins = {s: s for s in range(a.n_states)}
-    text = serialize_automaton(a, BuchiSet.of(1), origins).replace("\n", "\r\n")
+    text = serialize_automaton(a, BuchiSet.of(1), origins).replace("\n#", "\n #")
+    text = text.replace("\n", "\r\n")
     batches = []
     real_lines = fileformat._Cursor.lines
 
@@ -690,19 +700,22 @@ def test_crlf_comment_tail_is_split_in_batches():
         mp.setattr(fileformat._Cursor, "lines", lines)
         mp.setattr(fileformat, "_READ_BYTES", 1024)
         assert parse_automaton(text) == (a, BuchiSet.of(1))
-    # At most about one batch per block, where a batch a line would be
-    # one per comment line.
+    # The comment lines are handed out, at most about one batch per block,
+    # where a batch a line would be one per comment line.
+    assert sum(map(len, batches)) > a.n_states
     assert len(batches) < len(text) // 1024 + 10 < a.n_states
 
 
 def test_fifo_is_read_once_in_blocks(tmp_path):
     """A pipe cannot be read twice: a file that is not canonical (here
-    with CRLF line ends) is read from one once, a block at a time."""
+    with two spaces after each `trans`, and CRLF line ends) is read from
+    one once, a block at a time."""
     path = tmp_path / "pipe"
     os.mkfifo(path)
     a = random_automaton(random.Random(3), 300, 2)
     origins = {s: s for s in range(a.n_states)}
-    data = serialize_automaton(a, BuchiSet.of(1), origins).replace("\n", "\r\n").encode()
+    text = serialize_automaton(a, BuchiSet.of(1), origins).replace("trans ", "trans  ")
+    data = text.replace("\n", "\r\n").encode()
     writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
     read = []
     with pytest.MonkeyPatch.context() as mp:
