@@ -483,19 +483,20 @@ def test_canonical_files_take_the_bulk_reader(case, read_bytes):
     CR and the LF of a CRLF."""
     a, acc, canonical = case
     accept_lines = len(acc.entries) if isinstance(acc, MullerTable) else 1
+    expected = (list(fileformat._HEADER_KEYS) + ["accept"] * accept_lines) * 3
+    keys = []
     real_line = fileformat._LineParser.line
+
+    def spy(self, lineno, raw):
+        keys.append(real_line(self, lineno, raw))
+        return keys[-1]
+
     for newline in ("\n", "\r\n", "\r", "\x0c", "\u2028"):
-        keys = []
-
-        def spy(self, lineno, raw):
-            keys.append(real_line(self, lineno, raw))
-            return keys[-1]
-
+        keys.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fileformat._LineParser, "line", spy)
             mp.setattr(fileformat, "_READ_BYTES", read_bytes)
             assert _outcomes(canonical.replace("\n", newline)) == [(a, acc)] * 3
-        expected = (list(fileformat._HEADER_KEYS) + ["accept"] * accept_lines) * 3
         assert keys == expected, repr(newline)
 
 
