@@ -317,28 +317,6 @@ def _cycle_meets(
     return 1 in hits[seen[s]:]
 
 
-def inf_from_state(a: DetAutomaton, state: int, period_indices: Sequence[int]) -> frozenset[int]:
-    """Inf set of the run that starts at `state` and reads the nonempty
-    period (given as symbol indices) forever: every state visited while
-    reading one period from each anchor on the repeating anchor cycle.
-
-    One walk over the period's column views, one index and one trace entry
-    per step (`_cycle_states`).  The period map is iterated until an anchor
-    repeats, at most n_states + 1 times by pigeonhole, so the time is
-    Θ(anchors·|period|), anchors counting those before the cycle and on it;
-    `inf_set` adds Θ(|prefix|) for the prefix.  Raises `ValueError` on an
-    empty period or a symbol index outside 0..r-1, and `BadStateIndex` on a
-    start state out of range."""
-    if not period_indices:
-        raise ValueError("period must be nonempty")
-    if not 0 <= state < a.n_states:
-        raise BadStateIndex(f"state {state} out of range")
-    r = len(a.alphabet)
-    if min(period_indices) < 0 or max(period_indices) >= r:
-        raise ValueError(f"period symbol index out of range 0..{r - 1}")
-    return frozenset(_cycle_states(a, state, period_indices))
-
-
 def _lasso_start(a: DetAutomaton, w: LassoWord) -> tuple[int, list[int]]:
     """The state the run over `w` reaches after the prefix, and the
     period's symbol indices."""

@@ -60,8 +60,8 @@ _RESERVED = frozenset("{},:")  # never in a symbol token (nor whitespace or '#')
 _CHUNK_STATES = 2048
 # Bytes per read of a file, and characters per batch of lines to split.
 _READ_BYTES = 1 << 17
-# The line breaks of `str.splitlines` but "\n", in the order to write each as "\n".
-_BREAKS = ("\r\n", *"\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+# The line breaks of `str.splitlines` but "\n" and "\r".
+_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # Ends a run of comment lines: a newline not followed by '#'.
 _COMMENT_RUN_END = re.compile("\n[^#]")
 _LAYERED_COMMENT = "# state %d: layered (%d, %d)\n"
@@ -159,8 +159,11 @@ def _newlines(text: str) -> str:
     """`text` with each `str.splitlines` line break written as one newline,
     or `text` itself if it has no other break.  Each break is whitespace
     to `str.split`, so no line changes its tokens."""
+    if "\r" in text:  # a search for "\r\n" itself takes some 80 times longer
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    wide = not text.isascii()  # a flag of the string: no scan
     for brk in _BREAKS:
-        if brk[0] in text:  # a search for "\r\n" itself takes some 80 times longer
+        if (wide or brk.isascii()) and brk in text:
             text = text.replace(brk, "\n")
     return text
 

@@ -1,5 +1,6 @@
-"""Graph substrate: the SCC decomposition and the level-order walk that the
-whole package shares, and loops.
+"""Graph substrate: the one SCC routine (`_tarjan`, behind `scc_decompose`
+and `is_loop`) and the one level-order walk that the whole package shares,
+and loops, enumerated per SCC by a subset-bitmask kernel.
 
 A loop is a nonempty state set reachable from the initial state whose induced
 subgraph (transitions with both endpoints inside the set) is strongly
@@ -89,70 +90,74 @@ def scc_decompose(
     a: DetAutomaton, allowed: Collection[int] | None = None
 ) -> list[frozenset[int]]:
     """SCCs of the subgraph induced by `allowed` (default: every state),
-    sorted by smallest member.
+    sorted by smallest member: the components of `_tarjan`."""
+    return sorted(_tarjan(a, allowed), key=min)
 
-    Tarjan's algorithm, iterative so that long chains do not overflow the
-    interpreter stack.  States outside `allowed` are marked visited up front
-    and never sit on the stack, so edges into them are ignored.
+
+def _tarjan(
+    a: DetAutomaton, allowed: Collection[int] | None = None
+) -> Iterator[frozenset[int]]:
+    """The SCCs of the subgraph induced by `allowed` (default: every state),
+    each yielded as Tarjan's algorithm completes it, so no component
+    reaches a later one.  A caller that stops early walks no further.
+
+    Iterative, so that long chains do not overflow the interpreter stack.
+    Each state has one 4-byte mark: 1 while it is unvisited in `allowed`,
+    its visit number minus n (negative) while it is on the stack, and 0
+    outside `allowed` or once its component is out, so no low-link ever
+    takes it.  The marks start zeroed, so a small `allowed` sets only its
+    own.
     """
     n = a.n_states
     r = len(a.alphabet)
     delta = a.delta
 
+    mark = memoryview(bytearray(4 * n)).cast("i")
     if allowed is None:
         allowed = range(n)
-    index = [-2] * n
     for s in allowed:
-        index[s] = -1
-    low = [0] * n
-    on_stack = bytearray(n)
+        mark[s] = 1
     stack: list[int] = []
-    comps: list[frozenset[int]] = []
-    counter = 0
+    counter = -n
 
     for root in allowed:
-        if index[root] != -1:
+        if mark[root] != 1:
             continue
-        work: list[list[int]] = [[root, 0]]
+        mark[root] = counter
+        stack.append(root)
+        work: list[list[int]] = [[root, 0, counter]]  # state, next symbol, low-link
+        counter += 1
         while work:
             frame = work[-1]
-            v, xi = frame
-            if xi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = 1
-            pushed = False
+            v, xi, low = frame
             base = v * r
             while xi < r:
                 w = delta[base + xi]
                 xi += 1
-                if index[w] == -1:
+                m = mark[w]
+                if m == 1:
                     frame[1] = xi
-                    work.append([w, 0])
-                    pushed = True
+                    frame[2] = low
+                    mark[w] = counter
+                    stack.append(w)
+                    work.append([w, 0, counter])
+                    counter += 1
                     break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if pushed:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = 0
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(frozenset(comp))
-
-    comps.sort(key=min)
-    return comps
+                if m < low:
+                    low = m
+            else:
+                work.pop()
+                if work and low < work[-1][2]:
+                    work[-1][2] = low
+                if low == mark[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        mark[w] = 0
+                        comp.append(w)
+                        if w == v:
+                            break
+                    yield frozenset(comp)
 
 
 def analyze(a: DetAutomaton) -> SccAnalysis:
@@ -257,9 +262,9 @@ def is_loop(
     closed walk inside `z` visiting all of `z`.  Given an analysis, a set
     equal to an SCC is decided in linear time: it is a loop iff it has more
     than one state or a self-transition, as is a singleton.  Any other set
-    is tested by two walks from its smallest state that keep to `z`, one
-    forward and one over its edges reversed (`_reaches_back`), in
-    O(|z|·|X|) time and memory plus one n-byte mask.
+    is strongly connected iff the first component `_tarjan` completes
+    inside `z` is all of `z`.  That pass stops at the first component, so
+    it takes O(|z|·|X|) time and memory, plus zeroing 4n bytes of marks.
     """
     zs = frozenset(z)
     for s in zs:
@@ -273,33 +278,9 @@ def is_loop(
         reachable = analysis.reachable
     if zs.isdisjoint(reachable):
         return False
-    start = min(zs)
     if len(zs) == 1 or (analysis is not None and analysis.scc_id_of_set(zs) is not None):
-        return len(zs) > 1 or self_loop_symbol(a, start) is not None
-    forward = sum(1 for _ in level_order(a.delta, len(a.alphabet), start, allowed=zs))
-    return forward == len(zs) and _reaches_back(a, zs, start)
-
-
-def _reaches_back(a: DetAutomaton, zs: frozenset[int], start: int) -> bool:
-    """Whether every state of `zs` reaches `start` by a walk inside `zs`: a
-    walk from `start` over the reversed edges with both ends in `zs`.  Each
-    state's predecessors in `zs` are listed once, and a state's list is
-    taken out when the walk reaches it, so what is left is unreached."""
-    r = len(a.alphabet)
-    delta = a.delta
-    preds: dict[int, list[int]] = {s: [] for s in zs}
-    for s in zs:
-        base = s * r
-        for x in range(r):
-            into = preds.get(delta[base + x])
-            if into is not None:
-                into.append(s)
-    stack = preds.pop(start)
-    while stack:
-        more = preds.pop(stack.pop(), None)
-        if more is not None:
-            stack += more
-    return not preds
+        return len(zs) > 1 or self_loop_symbol(a, min(zs)) is not None
+    return len(next(_tarjan(a, zs))) == len(zs)
 
 
 def loop_candidates(

@@ -28,7 +28,6 @@ from omega_baire import (
     step,
 )
 from omega_baire import automaton
-from omega_baire.automaton import inf_from_state
 from conftest import brute_inf_set, chain_plus_random, pinned_kernel, random_automaton, random_lasso
 
 
@@ -311,7 +310,7 @@ class TestColumnWalkAgainstReference:
             s = rng.randrange(a.n_states)
             period = [a.symbol_index[t] for t in w.period]
             trace, start, _ = reference_cycle(a, s, period)
-            assert inf_from_state(a, s, period) == frozenset(trace[start:])
+            assert frozenset(automaton._cycle_states(a, s, period)) == frozenset(trace[start:])
             others = frozenset(rng.sample(range(a.n_states), rng.randint(0, a.n_states)))
             table = MullerTable.of(others, inf) if rng.random() < 0.5 else MullerTable.of(others)
             assert accepts_muller(a, table, w) == (inf in table.entries)
@@ -350,22 +349,6 @@ class TestColumnWalkAgainstReference:
         assert not tr.accepting.accepting.isdisjoint(inf)
         for q in rng.sample(range(b.n_states), 40):
             assert accepts_buchi(b, BuchiSet.of(q), w) == (q in inf)
-
-
-class TestInfFromStateArguments:
-    def test_empty_period_rejected(self, ex1):
-        with pytest.raises(ValueError, match="nonempty"):
-            inf_from_state(ex1, 0, [])
-
-    @pytest.mark.parametrize("state", [-1, 2])
-    def test_start_state_out_of_range(self, ex1, state):
-        with pytest.raises(BadStateIndex):
-            inf_from_state(ex1, state, [0])
-
-    @pytest.mark.parametrize("period", [[0, 2], [-1], [1, 0, 5]])
-    def test_symbol_index_out_of_range(self, ex1, period):
-        with pytest.raises(ValueError, match="symbol index"):
-            inf_from_state(ex1, 0, period)
 
 
 @st.composite

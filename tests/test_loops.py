@@ -191,8 +191,8 @@ class TestIsLoop:
 
     def test_scc_entries_skip_the_bitmask_test(self):
         # Given an analysis, a set equal to an SCC is decided by its size
-        # and self-transition, without a walk; any other set, and any call
-        # without an analysis, takes the forward and backward walks.  All
+        # and self-transition, without a walk or a Tarjan pass; any other
+        # set, and any call without an analysis, takes the Tarjan pass.  All
         # agree.
         rng = random.Random(43)
         for _ in range(60):
@@ -207,8 +207,41 @@ class TestIsLoop:
                     assert is_loop(a, z, an) == expected, (a, sorted(z))
                     continue
                 with mock.patch.object(loops, "level_order", side_effect=AssertionError), \
-                        mock.patch.object(loops, "_reaches_back", side_effect=AssertionError):
+                        mock.patch.object(loops, "_tarjan", side_effect=AssertionError):
                     assert is_loop(a, z, an) == expected, (a, sorted(z))
+
+    @pytest.mark.parametrize(
+        "a, z",
+        [
+            # A chain 0 -> 1 into the cycle 2 <-> 3.
+            (DetAutomaton(("a",), 4, 0, [1, 2, 3, 2]), {0, 1, 2, 3}),
+            # The cycles 0 <-> 1 and 2 <-> 3 on a, joined one way by b from 0.
+            (DetAutomaton(("a", "b"), 4, 0, [1, 2, 0, 1, 3, 2, 2, 3]), {0, 1, 2, 3}),
+            # The cycle 0 <-> 1 and state 2, which goes to 0 and is unreachable.
+            (DetAutomaton(("a",), 3, 0, [1, 0, 0]), {0, 1, 2}),
+        ],
+    )
+    def test_other_sets_take_one_component_of_one_tarjan_pass(self, a, z):
+        # Each set is reachable, no SCC and not strongly connected, so the
+        # first component Tarjan completes inside it is a proper subset.
+        # That component decides it: no walk, no second pass or component.
+        real = loops._tarjan
+        passes: list[frozenset[int]] = []
+        taken: list[frozenset[int]] = []
+
+        def spy(a, allowed=None):
+            passes.append(frozenset(allowed))
+            for comp in real(a, allowed):
+                taken.append(comp)
+                yield comp
+
+        an = analyze(a)
+        assert an.scc_id_of_set(z) is None and not brute_is_loop(a, frozenset(z))
+        with mock.patch.object(loops, "_tarjan", spy), \
+                mock.patch.object(loops, "level_order", side_effect=AssertionError):
+            assert not is_loop(a, z, an)
+        assert passes == [z]
+        assert len(taken) == 1 and taken[0] < z
 
 
 def mask_is_loop(a: DetAutomaton, z: frozenset[int]) -> bool:
@@ -248,6 +281,21 @@ class TestIsLoopWalks:
         finally:
             tracemalloc.stop()
         assert peak / k < 400
+
+    def test_small_set_of_a_large_automaton_takes_a_few_bytes_a_state(self):
+        # Two states of a 200,000-cycle: the pass keeps one 4-byte mark per
+        # state of the automaton, and per-state lists would take 8 bytes
+        # each.
+        k = 200_000
+        a = DetAutomaton(("a",), k, 0, [(s + 1) % k for s in range(k)])
+        an = analyze(a)
+        tracemalloc.start()
+        try:
+            assert not is_loop(a, {0, 1}, an)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / k < 6
 
 
 class TestEnumerateLoops:

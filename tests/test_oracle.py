@@ -31,7 +31,6 @@ from omega_baire import (
     verify_baire_witness,
     RandomSpec,
 )
-from omega_baire.automaton import inf_from_state
 from omega_baire.loops import enumerate_loops
 from omega_baire.oracle import DEFAULT_PRODUCT_BUDGET, lasso_domain_size
 from conftest import exhaustive_lassos, random_automaton, random_lasso, random_table
@@ -296,7 +295,7 @@ class TestBoundedLassoScan:
         """The scan's contract written out literally: periods in depth-first
         preorder, then start states in ascending order, each with its
         shortest prefix (successors in symbol order), judged by
-        `inf_from_state`."""
+        `inf_set`."""
         r = len(a.alphabet)
         prefix = {a.initial: ()} if max_prefix >= 0 else {}
         layer = list(prefix)
@@ -317,9 +316,11 @@ class TestBoundedLassoScan:
                     yield from periods(v + (x,))
 
         for v in periods(()):
+            period = tuple(a.alphabet[x] for x in v)
             for s in sorted(prefix):
-                if violation(inf_from_state(a, s, v)):
-                    return LassoWord(prefix[s], tuple(a.alphabet[x] for x in v))
+                w = LassoWord(prefix[s], period)
+                if violation(inf_set(a, w)):
+                    return w
         return None
 
     def test_same_lasso_as_reference(self):
