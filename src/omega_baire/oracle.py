@@ -37,7 +37,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Collection
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Collection, Iterator
 
 from .automaton import (
     BuchiSet,
@@ -307,9 +309,11 @@ def maximal_muller_buchi_equiv(
     b: BuchiSet,
     *,
     product_budget: int = DEFAULT_PRODUCT_BUDGET,
+    analysis: SccAnalysis | None = None,
 ) -> SubsetVerdict:
     """Exact equality of a maximal-loop Muller language and a Buchi language,
-    polynomial in the product size.
+    polynomial in the product size.  `analysis`, when given, is that of
+    `aA`, as the builders take it.
 
     Product loops are grouped by the SCC of their Muller-side projection.
     Within each group, a disagreeing loop exists iff one of a family of
@@ -328,7 +332,7 @@ def maximal_muller_buchi_equiv(
     translation, whose accepting states all lie over table blocks, costs
     one SCC pass per block.
     """
-    analysisA = analyze(aA)
+    analysisA = analyze(aA) if analysis is None else analysis
     report = check_maximal_loops(aA, t, analysisA)
     if not report.ok:
         raise PreconditionViolated(report.describe())
@@ -390,6 +394,26 @@ def lasso_domain_size(alphabet_size: int, max_prefix: int, max_period: int) -> i
     return prefixes * periods
 
 
+def _period_nodes(r: int, max_period: int, closed: bool) -> Iterator[int]:
+    """The number of period nodes `bounded_lasso_scan` builds at each depth
+    1..max_period: every word of that length, or for a closed domain the
+    prenecklaces, P(j) = Lyn(1) + ... + Lyn(j), and at the last depth the
+    Lyndon words alone.  Lyn(j) comes from r^j = sum of d * Lyn(d) over the
+    divisors d of j, summed over the nonzero counts only, so a one-letter
+    alphabet costs one term a depth."""
+    lyndon: dict[int, int] = {}  # length -> number of Lyndon words, if nonzero
+    prenecklaces = 0
+    for j in range(1, max_period + 1):
+        lyn = (r**j - sum(d * c for d, c in lyndon.items() if j % d == 0)) // j
+        if lyn:
+            lyndon[j] = lyn
+        prenecklaces += lyn
+        if not closed:
+            yield r**j
+        else:
+            yield prenecklaces if j < max_period else lyn
+
+
 def bounded_lasso_scan(
     a: DetAutomaton,
     violation: Callable[[frozenset[int]], bool],
@@ -422,28 +446,32 @@ def bounded_lasso_scan(
     those of walking every period.  A domain that is not closed is walked
     in full.
 
-    Down the period walk each state carries its image under the period and
-    the mask of states visited while reading it, so the Inf set of a cycle
-    of the period map is the OR of its anchors' masks.  For each period one
-    pass over the map, stamping each state with the start whose walk
-    entered it first, finds the cycle every start falls into; each state is
-    walked once per period, and only a start that closes a new cycle needs
-    a verdict, since the others share the cycle of an earlier start.
-    Verdicts are memoized per Inf mask for the whole call: each distinct
-    Inf set costs one frozenset and one call, so `violation` must be a pure
-    function of the Inf set.
+    Each node of the period walk carries only its period map, the image of
+    every state under the period, composed from its parent's by one
+    `itemgetter` gather.  For each period one pass over the map, stamping
+    each state with the start whose walk entered it first, finds the cycle
+    every start falls into; each state is walked once per period, and only
+    a start that closes a new cycle needs a verdict, since the others share
+    the cycle of an earlier start.  Only then is an Inf set read: reading
+    the period from a state of the cycle, its anchor, visits the states the
+    maps of the period's prefixes send it to, and the walk holds those maps
+    down to the node, so gathering the anchors from each of them reads the
+    set.
+    Verdicts are memoized per Inf set for the whole call, so each distinct
+    Inf set costs one call and `violation` must be a pure function of the
+    Inf set.
+
+    The start walk runs first, and the budget is charged before any period
+    is walked: n steps for each node the walk builds, so every period of
+    length at most `max_period` for a domain that is not closed, and for a
+    closed one the prenecklaces shorter than `max_period` and the Lyndon
+    words of that length (`_period_nodes`).
     """
     r = len(a.alphabet)
     n = a.n_states
     delta = a.delta
     if max_prefix < 0 or max_period < 1:
         return None
-    # The sum stops at the budget: past it, it can grow to thousands of digits.
-    cost = 0
-    for j in range(1, max_period + 1):
-        cost += n * r**j
-        if cost > budget:
-            raise SizeGuard(f"lasso scan needs more than {budget} steps")
 
     starts: dict[int, tuple[str, ...]] = {}
     closed = True
@@ -454,43 +482,57 @@ def bounded_lasso_scan(
         starts[t] = () if s < 0 else starts[s] + (a.alphabet[x],)
     start_items = sorted(starts.items())
 
-    step_maps = [[delta[s * r + x] for s in range(n)] for x in range(r)]
-    bit = [1 << s for s in range(n)]
+    # The sum stops at the budget: past it, it can grow to thousands of digits.
+    cost = 0
+    for nodes in _period_nodes(r, max_period, closed):
+        cost += n * nodes
+        if cost > budget:
+            raise SizeGuard(f"lasso scan needs more than {budget} steps")
+
+    # Maps have a phantom state n that every letter fixes, so each has at
+    # least two entries and `itemgetter` over one always returns a tuple.
+    step_maps = [tuple(delta[x::r]) + (n,) for x in range(r)]
     # Walks are numbered over the whole call, one per start state; a state
     # stamped at or after a period's first walk was entered in that period.
     stamp = [0] * n
     walk = 0
-    verdicts: dict[int, bool] = {}
+    verdicts: dict[frozenset[int], bool] = {}
 
     def violating_prefix(
-        mapping: list[int], trace: list[int]
+        mapping: tuple[int, ...], path: list[tuple[int, ...]]
     ) -> tuple[str, ...] | None:
         nonlocal walk
         first_walk = walk + 1
-        for state, prefix in start_items:
+        for x, prefix in start_items:
+            if stamp[x] >= first_walk:
+                continue  # an earlier start's walk entered it: the same cycle
             walk += 1
-            x = state
             while stamp[x] < first_walk:
                 stamp[x] = walk
                 x = mapping[x]
             if stamp[x] != walk:
                 continue  # the cycle of an earlier start, which did not violate
-            inf = trace[x]
+            # The Inf set: what the prefix maps send the cycle's states to;
+            # `itemgetter` of one state reads a state, of more a tuple.
             y = mapping[x]
-            while y != x:
-                inf |= trace[y]
-                y = mapping[y]
+            if y == x:
+                inf = frozenset(map(itemgetter(x), path))
+            else:
+                anchors = [x]
+                while y != x:
+                    anchors.append(y)
+                    y = mapping[y]
+                inf = frozenset(chain.from_iterable(map(itemgetter(*anchors), path)))
             verdict = verdicts.get(inf)
             if verdict is None:
-                zs = frozenset(q for q in range(n) if inf >> q & 1)
-                verdict = verdicts[inf] = violation(zs)
+                verdict = verdicts[inf] = bool(violation(inf))
             if verdict:
                 return prefix
         return None
 
-    def dfs(
-        mapping: list[int], trace: list[int], period_idx: tuple[int, ...], lyn: int
-    ) -> LassoWord | None:
+    path: list[tuple[int, ...]] = []
+
+    def dfs(mapping: tuple[int, ...], period_idx: tuple[int, ...], lyn: int) -> LassoWord | None:
         # With lyn = 0 every period is walked and judged.  Otherwise only
         # prenecklaces are walked and only Lyndon words judged: `lyn` is the
         # length of the longest Lyndon prefix of `period_idx` (1 at the
@@ -500,26 +542,27 @@ def bounded_lasso_scan(
         depth = len(period_idx)
         low = period_idx[depth - lyn] if lyn and depth else 0
         leaf = depth + 1 == max_period
+        compose = itemgetter(*mapping)
         for xi in range(low, r):
             child_lyn = lyn if depth and xi == low else depth + 1
             judge = not lyn or child_lyn > depth
             if leaf and not judge:
                 continue
-            step = step_maps[xi]
-            new_map = [step[m] for m in mapping]
-            new_trace = [v | bit[m] for v, m in zip(trace, new_map)]
+            new_map = compose(step_maps[xi])
             new_idx = period_idx + (xi,)
+            path.append(new_map)
             if judge:
-                prefix = violating_prefix(new_map, new_trace)
+                prefix = violating_prefix(new_map, path)
                 if prefix is not None:
                     return LassoWord(prefix, tuple(a.alphabet[i] for i in new_idx))
             if not leaf:
-                found = dfs(new_map, new_trace, new_idx, lyn and child_lyn)
+                found = dfs(new_map, new_idx, lyn and child_lyn)
                 if found is not None:
                     return found
+            path.pop()
         return None
 
-    return dfs(list(range(n)), [0] * n, (), 1 if closed else 0)
+    return dfs(tuple(range(n + 1)), (), 1 if closed else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -754,8 +797,12 @@ def verify_baire_witness(
             return "skip", None, "a route was skipped"
         return ("pass" if routes[0] == routes[1] else "fail"), None, ""
 
-    def same_language(aut: DetAutomaton, table: MullerTable, buchi, budget: int) -> Verdict:
-        v = maximal_muller_buchi_equiv(aut, table, *buchi, product_budget=budget)
+    def same_language(
+        aut: DetAutomaton, table: MullerTable, buchi, budget: int, aut_analysis=None
+    ) -> Verdict:
+        v = maximal_muller_buchi_equiv(
+            aut, table, *buchi, product_budget=budget, analysis=aut_analysis
+        )
         return ("pass" if v.holds else "fail"), v.counterexample, ""
 
     def b1_weak() -> Verdict:
@@ -787,7 +834,11 @@ def verify_baire_witness(
             lambda: same_language(a1, t1, witness.open_buchi, max(product_budget, a1.n_states)),
         ),
         ("b1-weak", b1_weak),
-        ("b2-language", lambda: same_language(a, meagre_table, meagre_buchi, product_budget)),
+        # The meagre complement reuses the input automaton, and so its analysis.
+        (
+            "b2-language",
+            lambda: same_language(a, meagre_table, meagre_buchi, product_budget, analysis),
+        ),
         ("b2-bound", b2_bound),
     ):
         try:

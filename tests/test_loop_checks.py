@@ -41,8 +41,9 @@ from omega_baire.loops import DEFAULT_ENUMERATION_BUDGET, cyclic_sccs
 from omega_baire.oracle import DEFAULT_PRODUCT_BUDGET, SubsetVerdict, _checked_verdict
 
 
-def reference_equiv(aA, t, aB, b, *, product_budget=DEFAULT_PRODUCT_BUDGET):
-    """`maximal_muller_buchi_equiv` with one SCC pass per block member."""
+def reference_equiv(aA, t, aB, b, *, product_budget=DEFAULT_PRODUCT_BUDGET, analysis=None):
+    """`maximal_muller_buchi_equiv` with one SCC pass per block member.  It
+    analyses `aA` itself, whatever `analysis` the verifier hands over."""
     analysisA = analyze(aA)
     report = check_maximal_loops(aA, t, analysisA)
     if not report.ok:

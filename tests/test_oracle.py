@@ -21,6 +21,7 @@ from omega_baire import (
     boolean_table_op,
     bounded_lasso_scan,
     inf_set,
+    is_loop,
     language_subset_oracle,
     loop_lasso,
     maximal_muller_buchi_equiv,
@@ -425,6 +426,143 @@ class TestBoundedLassoScan:
             kinds.add((max(dist.values()) <= max_prefix, got is not None))
         assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
+    def _same_as_reference(self, a, bad, max_prefix, max_period):
+        """The scan's lasso is the reference's, and it asks about exactly the
+        Inf sets the reference asks about, each once."""
+        asked, ref_asked = [], set()
+
+        def pred(z):
+            asked.append(z)
+            return z in bad
+
+        def ref_pred(z):
+            ref_asked.add(z)
+            return z in bad
+
+        got = bounded_lasso_scan(a, pred, max_prefix, max_period)
+        assert got == self._reference_scan(a, ref_pred, max_prefix, max_period)
+        assert len(asked) == len(set(asked))
+        assert set(asked) == ref_asked
+        return got, asked
+
+    def test_one_state_automaton(self):
+        # Every period map of one state is the one-entry map 0 -> 0.
+        for r in (1, 2, 3):
+            a = DetAutomaton(alphabet=tuple("abc"[:r]), n_states=1, initial=0, delta=(0,) * r)
+            for bad in (set(), {frozenset({0})}):
+                for max_prefix in (0, 2):
+                    for max_period in range(1, 7 if r < 3 else 5):
+                        got, asked = self._same_as_reference(a, bad, max_prefix, max_period)
+                        assert asked == [frozenset({0})]
+                        assert (got is None) == (not bad)
+
+    def test_permutation_automata(self):
+        # Each letter permutes the states, so every state lies on a cycle of
+        # every period map, and those cycles are long.
+        rng = random.Random(73)
+        kinds, longest = set(), 0
+        for case in range(60):
+            n, r = rng.randint(2, 7), rng.randint(1, 3)
+            perms = [rng.sample(range(n), n) for _ in range(r)]
+            delta = tuple(perms[x][s] for s in range(n) for x in range(r))
+            a = DetAutomaton(alphabet=tuple("abc"[:r]), n_states=n, initial=0, delta=delta)
+            loops = sorted(enumerate_loops(a), key=sorted)
+            bad = {z for z in loops if rng.random() < (0.0, 0.1, 0.3)[case % 3]}
+            max_period = rng.randint(3, 7 if r < 3 else 5)
+            got, asked = self._same_as_reference(a, bad, n, max_period)
+            kinds.add(got is not None)
+            longest = max(longest, *map(len, asked))
+        assert kinds == {True, False}
+        assert longest >= 6
+
+    def test_open_domains(self):
+        # max_prefix below the eccentricity of the initial state: some
+        # reachable state is no start, and every period is walked.
+        rng = random.Random(79)
+        kinds = set()
+        checked = 0
+        while checked < 120:
+            a = random_automaton(rng, rng.randint(3, 7), rng.randint(1, 3))
+            r = len(a.alphabet)
+            dist = {a.initial: 0}
+            queue = [a.initial]
+            for s in queue:
+                for t in a.delta[s * r:(s + 1) * r]:
+                    if t not in dist:
+                        dist[t] = dist[s] + 1
+                        queue.append(t)
+            eccentricity = max(dist.values())
+            if eccentricity == 0:
+                continue
+            checked += 1
+            loops = sorted(enumerate_loops(a), key=sorted)
+            bad = {z for z in loops if rng.random() < (0.0, 0.2, 0.5)[checked % 3]}
+            max_prefix = rng.randint(0, eccentricity - 1)
+            got, _ = self._same_as_reference(a, bad, max_prefix, rng.randint(1, 5 if r < 3 else 4))
+            kinds.add(got is not None)
+        assert kinds == {True, False}
+
+    @staticmethod
+    def _walk_nodes(r, max_period, closed):
+        """The period nodes a scan builds, counted from the definitions: a
+        necklace is no greater than any of its rotations, a Lyndon word is
+        less than all its proper rotations, and a prenecklace is a prefix of
+        a necklace (of fewer than twice its length)."""
+        if not closed:
+            return sum(r**j for j in range(1, max_period + 1))
+
+        def rotations(w):
+            return [w[i:] + w[:i] for i in range(1, len(w))]
+
+        prenecklaces = set()
+        for m in range(1, 2 * max_period):
+            for w in itertools.product(range(r), repeat=m):
+                if all(w <= v for v in rotations(w)):
+                    prenecklaces.update(w[:j] for j in range(1, max_period))
+        lyndon = [
+            w
+            for w in itertools.product(range(r), repeat=max_period)
+            if all(w < v for v in rotations(w))
+        ]
+        return len(prenecklaces) + len(lyndon)
+
+    def test_budget_charges_the_nodes_built(self):
+        # The scan runs at a budget of n steps per node it builds, and one
+        # step less raises SizeGuard.  Over 2 letters at period 8 a closed
+        # domain builds 126 nodes and an open one 510.
+        assert self._walk_nodes(2, 8, True) == 126
+        assert self._walk_nodes(2, 8, False) == 510
+        # 0 -a-> 1 -a-> 2 -a-> 0, and the other letters fix every state: from
+        # max_prefix 2 on, every reachable state is a start.
+        never = lambda z: False
+        for r, alphabet, delta in (
+            (1, ("a",), (1, 2, 0)),
+            (2, ("a", "b"), (1, 0, 2, 1, 0, 2)),
+            (3, ("a", "b", "c"), (1, 0, 0, 2, 1, 1, 0, 2, 2)),
+        ):
+            a = DetAutomaton(alphabet=alphabet, n_states=3, initial=0, delta=delta)
+            for max_prefix, closed in ((1, False), (2, True)):
+                for max_period in range(1, {1: 8, 2: 6, 3: 4}[r] + 1):
+                    steps = 3 * self._walk_nodes(r, max_period, closed)
+                    assert bounded_lasso_scan(a, never, max_prefix, max_period, budget=steps) is None
+                    with pytest.raises(SizeGuard, match=f"needs more than {steps - 1} steps"):
+                        bounded_lasso_scan(a, never, max_prefix, max_period, budget=steps - 1)
+
+    def test_closed_domain_at_period_16_fits_the_default_budget(self):
+        # 5 states times 14,394 nodes (131,070 periods if walked in full) is
+        # under the default budget of 524,288 steps.
+        rng = random.Random(83)
+        a = random_automaton(rng, 5)
+        asked = []
+
+        def never(z):
+            asked.append(z)
+            return False
+
+        assert bounded_lasso_scan(a, never, 5, 16) is None
+        assert len(asked) == len(set(asked))
+        assert set(asked) <= set(enumerate_loops(a))
+
     def test_domain_size(self):
         assert lasso_domain_size(2, 1, 1) == 3 * 2
         assert lasso_domain_size(2, 8, 8) == (2**9 - 1) * (2**9 - 2)
@@ -458,6 +596,21 @@ class TestMaximalEquiv:
                 assert accepts_muller(a, t, w) != accepts_buchi(b_aut, acc, w)
             checked += 1
         assert checked == 300
+
+
+    def test_given_analysis_gives_the_same_verdicts(self):
+        rng = random.Random(89)
+        fails = 0
+        for _ in range(150):
+            a = random_automaton(rng, rng.randint(1, 5))
+            an = analyze(a)
+            t = MullerTable(frozenset(s for s in an.sccs if is_loop(a, s, an) and rng.random() < 0.7))
+            b_aut = random_automaton(rng, rng.randint(1, 4))
+            acc = BuchiSet(frozenset(s for s in range(b_aut.n_states) if rng.random() < 0.4))
+            given = maximal_muller_buchi_equiv(a, t, b_aut, acc, analysis=an)
+            assert given == maximal_muller_buchi_equiv(a, t, b_aut, acc)
+            fails += not given.holds
+        assert fails >= 30
 
 
 class TestRandomInstance:
@@ -626,6 +779,18 @@ class TestVerifyBaireWitness:
             assert details["symdiff-agreement"] == "a route was skipped"
         else:
             assert set(statuses.values()) == {"pass"}
+
+    def test_b2_language_reuses_the_input_analysis(self, ex2, monkeypatch):
+        # The meagre complement's automaton is the input, whose analysis the
+        # verifier holds: the input is analysed once per call.
+        import omega_baire.oracle as oracle_mod
+
+        analysed = []
+        real = oracle_mod.analyze
+        monkeypatch.setattr(oracle_mod, "analyze", lambda a: analysed.append(a) or real(a))
+        report = verify_baire_witness(ex2, MullerTable.of({1}))
+        assert report.ok
+        assert sum(a is ex2 for a in analysed) == 1
 
     def test_budget_raises_without_skip(self, ex2):
         with pytest.raises(SizeGuard):
