@@ -17,7 +17,7 @@ from typing import Mapping
 
 from .automaton import BuchiSet, DetAutomaton, MullerTable
 from .errors import BadLoop
-from .loops import SccAnalysis, analyze, cyclic_sccs, is_loop
+from .loops import SccAnalysis, analyze, is_loop, refined_loop
 from .to_buchi import muller_to_buchi_maximal
 
 StateOrigin = Mapping[int, "int | frozenset[int]"]
@@ -206,36 +206,24 @@ def classify_openness(
     scope.
 
     A loop inside a required terminal SCC that is not an entry is searched
-    for as in Emerson & Lei (1987): a cycle-carrying SCC of the current set
-    that is not an entry is such a loop; one that is an entry is searched
-    again with each of its states removed.  Only entries are expanded, each
-    once, so the cost is polynomial in the table and the SCC sizes.
+    for by `refined_loop` with every state its own label: an SCC that is
+    not an entry is such a loop, and one that is an entry is searched again
+    with each of its states removed.  Only entries are expanded, each once,
+    so the budget of one unit per entry never runs out, and the cost is
+    polynomial in the table and the SCC sizes.
     """
     if analysis is None:
         analysis = analyze(a)
-    loop_entries = {e for e in t.entries if is_loop(a, e, analysis)}
-    if not loop_entries:
-        return TriState.YES
-
-    required: set[int] = set()
-    for entry in loop_entries:
-        tid = analysis.scc_of[min(entry)]
-        if not entry <= analysis.sccs[tid]:
-            return TriState.UNDECIDED
-        if tid not in analysis.terminal:
-            return TriState.UNDECIDED
-        required.add(tid)
-
-    pending = [analysis.sccs[tid] for tid in required]
-    expanded: set[frozenset[int]] = set()
-    while pending:
-        for comp in cyclic_sccs(a, pending.pop()):
-            if comp not in t.entries:
-                return TriState.UNDECIDED
-            if comp not in expanded:
-                expanded.add(comp)
-                pending.extend(comp - {s} for s in comp)
-    return TriState.YES
+    # A loop lies inside one SCC; the entries that are loops must all lie
+    # inside terminal ones.
+    required = {analysis.scc_of[min(e)] for e in t.entries if is_loop(a, e, analysis)}
+    if not required <= analysis.terminal:
+        return TriState.UNDECIDED
+    region = [s for tid in required for s in analysis.sccs[tid]]
+    found = refined_loop(
+        a, region, lambda c: True, lambda z: z not in t.entries, range(a.n_states), len(t.entries)
+    )
+    return TriState.YES if found is None else TriState.UNDECIDED
 
 
 def classify_loop_density(

@@ -2,7 +2,8 @@
 
 Verdicts and reports go to standard output, diagnostics to standard error.
 Exit codes are a stable contract: 0 success or verdict, 1 selftest
-failures, 2 parse error, 3 budget exceeded, 4 precondition violated,
+failures, 2 parse error, usage error or a file that cannot be read or
+written, 3 budget exceeded or out of memory, 4 precondition violated,
 5 alphabet mismatch, 6 internal error (a self-check of the program failed).
 """
 
@@ -365,6 +366,9 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
     except SizeGuard as e:
         print(str(e), file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError as e:
+        print(f"out of memory: {e}" if str(e) else "out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except PreconditionViolated as e:
         print(str(e), file=sys.stderr)

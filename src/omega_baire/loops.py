@@ -1,6 +1,7 @@
 """Graph substrate: the one SCC routine (`_tarjan`, behind `scc_decompose`
 and `is_loop`) and the one level-order walk that the whole package shares,
-and loops, enumerated per SCC by a subset-bitmask kernel.
+and loops: searched for by the one Emerson & Lei refinement, `refined_loop`,
+and enumerated per SCC by a subset-bitmask kernel.
 
 A loop is a nonempty state set reachable from the initial state whose induced
 subgraph (transitions with both endpoints inside the set) is strongly
@@ -12,7 +13,7 @@ one-state components, and terminal SCCs absorb every continuation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Container, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Container, Iterable, Iterator, Sequence
 
 from .automaton import DetAutomaton
 from .errors import BadStateIndex, SizeGuard
@@ -283,32 +284,36 @@ def is_loop(
     return len(next(_tarjan(a, zs))) == len(zs)
 
 
-def loop_candidates(
-    a: DetAutomaton, budget: int, analysis: SccAnalysis | None
-) -> list[frozenset[int]]:
-    """The reachable SCCs in id order, the only places loops live.  Raises
-    SizeGuard when their subset counts together exceed `budget`."""
-    if analysis is None:
-        analysis = analyze(a)
-    candidates = [c for c in analysis.sccs if not c.isdisjoint(analysis.reachable)]
-    # The sum stops at the budget: past it, it can grow to thousands of digits.
-    cost = 0
-    for c in candidates:
-        cost += 1 << len(c)
-        if cost > budget:
-            raise SizeGuard(f"loop enumeration needs more than {budget} subset checks")
-    return candidates
-
-
-def scc_loops(a: DetAutomaton, scc: frozenset[int]) -> Iterator[frozenset[int]]:
-    """The loops inside one SCC, in ascending subset-mask order over its
-    sorted members."""
-    members = sorted(scc)
-    k = len(members)
-    succ, pred = _local_masks(a, members)
-    for mask in range(1, 1 << k):
-        if _strongly_connected(succ, pred, mask):
-            yield frozenset(members[i] for i in range(k) if mask >> i & 1)
+def refined_loop(
+    a: DetAutomaton,
+    region: Collection[int],
+    wanted: Callable[[frozenset[int]], bool],
+    rejected: Callable[[frozenset[int]], bool],
+    label: Sequence[int],
+    budget: int,
+) -> frozenset[int] | None:
+    """A cyclic SCC inside `region` that `wanted` holds of and whose label
+    set `rejected` holds of, or None when no loop inside `region` has both
+    (Emerson & Lei, 1987).  `wanted` must hold of every superset inside
+    `region` of a set it holds of: such a loop then lies in a cyclic SCC
+    that `wanted` holds of, and when `rejected` does not hold of its labels,
+    in that SCC minus the states of some label.  So each such SCC is
+    expanded, once: searched again once per label with that label removed,
+    at one unit of `budget` (SizeGuard past it)."""
+    pending = [region]
+    expanded: set[frozenset[int]] = set()
+    while pending:
+        for comp in cyclic_sccs(a, pending.pop()):
+            if comp in expanded or not wanted(comp):
+                continue
+            labels = frozenset(label[s] for s in comp)
+            if rejected(labels):
+                return comp
+            if len(expanded) >= budget:
+                raise SizeGuard(f"loop enumeration needs more than {budget} subset checks")
+            expanded.add(comp)
+            pending.extend([s for s in comp if label[s] != x] for x in labels)
+    return None
 
 
 def iter_loops(
@@ -318,20 +323,31 @@ def iter_loops(
     analysis: SccAnalysis | None = None,
 ) -> Iterator[frozenset[int]]:
     """Lazily yield all loops; loops live inside single SCCs, so only subsets
-    of reachable SCCs are examined.  Raises SizeGuard when the total subset
-    count would exceed `budget`.
+    of reachable SCCs are examined.  Raises SizeGuard, before any loop is
+    yielded, when the total subset count would exceed `budget`.
 
-    The budget check and the candidate SCCs come from `loop_candidates`,
-    the loops of each SCC from `scc_loops`; the verifier's `symdiff-loops`
-    shares both, and enumerates only the SCCs its per-SCC facts leave open.
     Each SCC's induced edges are stored once as int successor and
     predecessor masks over its sorted members; every subset mask is then
     tested by a forward and a backward closure from its lowest bit in int
     operations (a singleton by its self-loop bit), and a frozenset is built
     only for a loop.  SCCs come in id order, and the loops of one SCC in
     ascending subset-mask order."""
-    for scc in loop_candidates(a, budget, analysis):
-        yield from scc_loops(a, scc)
+    if analysis is None:
+        analysis = analyze(a)
+    candidates = [c for c in analysis.sccs if not c.isdisjoint(analysis.reachable)]
+    # The sum stops at the budget: past it, it can grow to thousands of digits.
+    cost = 0
+    for c in candidates:
+        cost += 1 << len(c)
+        if cost > budget:
+            raise SizeGuard(f"loop enumeration needs more than {budget} subset checks")
+    for scc in candidates:
+        members = sorted(scc)
+        k = len(members)
+        succ, pred = _local_masks(a, members)
+        for mask in range(1, 1 << k):
+            if _strongly_connected(succ, pred, mask):
+                yield frozenset(members[i] for i in range(k) if mask >> i & 1)
 
 
 def enumerate_loops(

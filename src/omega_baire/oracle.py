@@ -9,10 +9,11 @@ Two oracle routes are deliberately kept separate so that a bug in one cannot
 hide in the other: the loop route judges the realizable Inf sets of a
 product, while the lasso route evaluates concrete ultimately periodic words,
 one period per conjugacy class where that decides the same domain, and never
-enumerates loops.  The verifier's loop route decides per product SCC, from
-its projections, whether the SCC can hold a violating loop, and enumerates
-loops only in the SCCs those facts leave open, in the same order as
-`iter_loops`, so it reports the same first loop.  Every counterexample
+enumerates loops.  The verifier's loop route decides whether a violating
+loop exists by the Emerson & Lei refinement of `loops.refined_loop`, one
+search per meagre entry that splits only the product SCCs that fail to
+decide it, and enumerates loops in `iter_loops` order only once one
+exists, so it reports the first of them.  Every counterexample
 either route reports is re-verified by direct acceptance evaluation before
 it is returned.  The exact check behind `b2-language` enumerates no loops
 either: per table block and required state z*, one level-order walk from
@@ -61,8 +62,7 @@ from .loops import (
     is_loop,
     iter_loops,
     level_order,
-    loop_candidates,
-    scc_loops,
+    refined_loop,
     self_loop_symbol,
 )
 from .to_buchi import buchi_state_bound, check_maximal_loops
@@ -689,30 +689,19 @@ def _first_symdiff_loop(
     and E (table `t1`) that satisfies `in_symdiff`: F and E disagree on
     it and its left projection is an entry of `meagre`.
 
-    Each product SCC D is settled from cheap facts where they suffice.  A
-    one-state D without a self-transition holds no loop.  A loop of D
-    projects into D's left projection zl, so with no entry of `meagre`
-    inside zl, D holds none.  With a right projection zr = {e}, every loop
-    of D has right projection {e}, so D holds none when each entry inside
-    zl is in `t` exactly when {e} is in `t1`.  Only an SCC left open is
-    enumerated, in the order `iter_loops` uses; the budget check stays up
-    front over every reachable SCC, so it skips exactly where `iter_loops`
-    does."""
-    P = prod.automaton
-    left, right = prod.left, prod.right
-    for d in loop_candidates(P, loop_budget, None):
-        if len(d) == 1 and self_loop_symbol(P, min(d)) is None:
-            continue
-        zl = frozenset(left[q] for q in d)
-        inside = [e for e in meagre.entries if e <= zl]
-        if not inside:
-            continue
-        zr = frozenset(right[q] for q in d)
-        if len(zr) == 1 and all((e in t.entries) == (zr in t1.entries) for e in inside):
-            continue
-        z = next(filter(in_symdiff, scc_loops(P, d)), None)
-        if z is not None:
-            return z
+    Whether there is one is decided first, by `refined_loop` once per entry
+    f of `meagre`, over the product states above f labelled by their right
+    projection: a loop whose left projection is f, and whose right
+    projection is an entry of `t1` exactly when f is no entry of `t`.  Only
+    then are loops enumerated, and charged as `iter_loops` charges them, to
+    return the first."""
+    P, left = prod.automaton, prod.left
+    for f in meagre.entries:
+        region = [q for q in range(P.n_states) if left[q] in f]
+        in_t = f in t.entries
+        if refined_loop(P, region, lambda c: {left[q] for q in c} == f,
+                        lambda zr: (zr in t1.entries) != in_t, prod.right, loop_budget):
+            return next(filter(in_symdiff, iter_loops(P, budget=loop_budget)))
     return None
 
 

@@ -446,6 +446,16 @@ class TestSelftest:
         assert all(line.endswith(" pass skipped=4") for line in lines[:3])
         assert lines[3] == "selftest trials=3 failures=0 skipped=12"
 
+    @pytest.mark.parametrize("states", ["40", "80"])
+    def test_passing_trials_skip_no_loop_check(self, capsys, states):
+        # The loop budget charges only the product SCCs the refinement
+        # expands, one each, so on these passing trials nothing skips.
+        code = cli_run(["selftest", "--trials", "20", "--seed", "1", "--states", states])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "skipped=" not in out
+        assert out.splitlines()[-1] == "selftest trials=20 failures=0"
+
     def test_no_skip_count_without_skips(self, capsys):
         cli_run(["selftest", "--states", "5", "--trials", "5", "--seed", "7"])
         out = capsys.readouterr().out
@@ -512,13 +522,18 @@ def test_negative_seed_still_accepted(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "selftest trials=1 failures=0"
 
 
-def _run_script(script: str, *args: str) -> subprocess.CompletedProcess:
-    """Run `script` in a fresh interpreter that imports this checkout."""
+def _run_script(script: str, *args: str, preexec_fn=None) -> subprocess.CompletedProcess:
+    """Run `script` in a fresh interpreter that imports this checkout;
+    `preexec_fn` runs in the child before it starts."""
     package_root = str(Path(omega_baire.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -613,6 +628,29 @@ def test_internal_error_exit_6(ex1_file, tmp_path):
     assert done.returncode == 6
     assert done.stdout == ""
     assert done.stderr == "internal error: oracle witness failed direct verification\n"
+
+
+def test_out_of_memory_exit_3(tmp_path):
+    """Running out of memory is one diagnostic line and exit 3, not a
+    traceback.  The translation of a one-letter 9000-cycle allocates a
+    309 MiB array; the child's address space is capped at 500 MiB, and the
+    cap is set in the child only."""
+    resource = pytest.importorskip("resource")
+    n = 9000
+    a = DetAutomaton(("a",), n, 0, tuple((s + 1) % n for s in range(n)))
+    src = tmp_path / "cycle.aut"
+    src.write_text(serialize_automaton(a, MullerTable.of(range(n))))
+    out = tmp_path / "out.aut"
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (500 << 20, 500 << 20))
+
+    script = "from omega_baire.cli import main\nmain()\n"
+    done = _run_script(script, "to-buchi", str(src), "--out", str(out), preexec_fn=cap_address_space)
+    assert done.returncode == 3, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("out of memory") and done.stderr.count("\n") == 1
+    assert done.stdout == "" and not out.exists()
 
 
 class TestRoundTripOfWrittenFiles:

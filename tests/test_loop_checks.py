@@ -21,6 +21,7 @@ from omega_baire import (
     MullerTable,
     PreconditionViolated,
     RandomSpec,
+    SizeGuard,
     accepts_buchi,
     accepts_muller,
     analyze,
@@ -155,19 +156,31 @@ def assert_same_report(report, ref):
 
 
 def test_reports_match_references_at_every_budget(monkeypatch):
-    # Small budgets put skips on both sides of every loop check.
+    # Small budgets put skips on both sides of every loop check.  The
+    # reference charges the loop budget 2^|D| for every reachable product
+    # SCC D up front; the refinement charges only the SCCs it expands.  So
+    # where only the reference skips `symdiff-loops`, the check passes or
+    # skips and the two routes still agree; elsewhere the reports agree.
     budgets = [
         {},
         {"loop_budget": 1 << 6},
         {"loop_budget": 1 << 10, "product_budget": 24},
         {"product_budget": 6, "lasso_bound": 2},
     ]
-    skipped = 0
+    skipped = only_reference_skipped = 0
     for rng, a, t in instances(seed=31, count=120, max_states=10):
         report, ref = reports(monkeypatch, a, t, **rng.choice(budgets))
-        assert_same_report(report, ref)
+        loops, agreement = report.checks[1], report.checks[3]
+        if ref.checks[1].status == "skip" and loops.status != "skip":
+            assert loops.status == "pass" and agreement.status != "fail"
+            others = [c for c in report.checks if c not in (loops, agreement)]
+            assert others == [c for c in ref.checks if c.name not in (loops.name, agreement.name)]
+            only_reference_skipped += 1
+        else:
+            assert_same_report(report, ref)
         skipped += any(c.status == "skip" for c in report.checks)
-    assert skipped >= 10
+    assert (loops.name, agreement.name) == ("symdiff-loops", "symdiff-agreement")
+    assert skipped >= 10 and only_reference_skipped >= 5
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +338,59 @@ def test_twin_merged_state_enumerates_the_same_loop(monkeypatch):
                 found += z is not None
     assert found >= 100
     assert subset_tests[0] > 0
+
+
+# ---------------------------------------------------------------------------
+# The refinement against enumeration.
+
+
+def test_refined_loop_finds_a_loop_iff_enumeration_does():
+    # Over the product of F with E, and of F with an unrelated automaton,
+    # labelled by the right projection: per meagre entry f, a loop whose
+    # left projection is f and whose right projection is an entry of the
+    # right-hand table, or is none.
+    found = split = 0
+    for rng, a, t in instances(seed=73, count=150, max_states=5):
+        analysis = analyze(a)
+        _, meagre = build_meagre_complement(a, analysis)
+        w = build_open_witness(a, t, analysis)
+        spec = RandomSpec(rng.randint(2, 3), len(a.alphabet), 4, rng.randrange(2**32))
+        for right_automaton, right_table in ((w.automaton, w.table), random_instance(spec)):
+            prod = product(a, right_automaton)
+            P, left, right = prod.automaton, prod.left, prod.right
+            loops = list(iter_loops(P))
+            for f in meagre.entries:
+                region = [q for q in range(P.n_states) if left[q] in f]
+
+                def wanted(c):
+                    return {left[q] for q in c} == f
+
+                for rejected in (
+                    lambda zr: zr in right_table.entries,
+                    lambda zr: zr not in right_table.entries,
+                ):
+                    args = (P, region, wanted, rejected, right)
+                    z = loops_mod.refined_loop(*args, DEFAULT_ENUMERATION_BUDGET)
+                    want = [y for y in loops if wanted(y) and rejected(frozenset(right[q] for q in y))]
+                    assert (z is None) == (not want)
+                    if z is not None:
+                        assert z in want
+                        found += 1
+                        try:
+                            loops_mod.refined_loop(*args, 0)
+                        except SizeGuard:
+                            split += 1
+    assert found >= 100 and split >= 20
+
+
+def test_refined_loop_over_budget():
+    # 0 and 1 swap on a and stay on b.  With no label set rejected, the
+    # refinement expands {0, 1}, then {1} and {0}: three SCCs.
+    a = DetAutomaton(("a", "b"), 2, 0, (1, 0, 0, 1))
+    args = (a, range(2), lambda c: True, lambda z: False, range(2))
+    assert loops_mod.refined_loop(*args, 3) is None
+    with pytest.raises(SizeGuard, match="^loop enumeration needs more than 2 subset checks$"):
+        loops_mod.refined_loop(*args, 2)
 
 
 # ---------------------------------------------------------------------------

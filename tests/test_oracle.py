@@ -732,10 +732,11 @@ class TestVerifyBaireWitness:
     def test_weakness_needs_no_loop_budget(self):
         # {0, 1} is a two-state SCC below the terminal state 2.  Weakness is
         # decided per SCC, so a loop budget that skips the product loop
-        # route does not skip it.
+        # route does not skip it.  That route expands one product SCC, over
+        # the terminal state, so only a budget of 0 skips it.
         a = DetAutomaton(alphabet=("a", "b"), n_states=3, initial=0, delta=(1, 2, 0, 2, 2, 2))
         report = verify_baire_witness(
-            a, MullerTable.of({2}), loop_budget=1, skip_over_budget=True
+            a, MullerTable.of({2}), loop_budget=0, skip_over_budget=True
         )
         statuses = {c.name: c.status for c in report.checks}
         assert statuses["symdiff-loops"] == "skip"
