@@ -321,27 +321,31 @@ def iter_loops(
     *,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     analysis: SccAnalysis | None = None,
+    sccs: Collection[frozenset[int]] | None = None,
 ) -> Iterator[frozenset[int]]:
-    """Lazily yield all loops; loops live inside single SCCs, so only subsets
-    of reachable SCCs are examined.  Raises SizeGuard, before any loop is
-    yielded, when the total subset count would exceed `budget`.
+    """Lazily yield all loops inside `sccs`, SCCs of `a` in the order given
+    (default: every reachable SCC of `analysis`, in id order); loops live
+    inside single SCCs, so only their subsets are examined.  Raises
+    SizeGuard, before any loop is yielded, when the total subset count
+    would exceed `budget`.
 
     Each SCC's induced edges are stored once as int successor and
     predecessor masks over its sorted members; every subset mask is then
     tested by a forward and a backward closure from its lowest bit in int
     operations (a singleton by its self-loop bit), and a frozenset is built
-    only for a loop.  SCCs come in id order, and the loops of one SCC in
-    ascending subset-mask order."""
-    if analysis is None:
-        analysis = analyze(a)
-    candidates = [c for c in analysis.sccs if not c.isdisjoint(analysis.reachable)]
+    only for a loop.  The loops of one SCC come in ascending subset-mask
+    order."""
+    if sccs is None:
+        if analysis is None:
+            analysis = analyze(a)
+        sccs = [c for c in analysis.sccs if not c.isdisjoint(analysis.reachable)]
     # The sum stops at the budget: past it, it can grow to thousands of digits.
     cost = 0
-    for c in candidates:
+    for c in sccs:
         cost += 1 << len(c)
         if cost > budget:
             raise SizeGuard(f"loop enumeration needs more than {budget} subset checks")
-    for scc in candidates:
+    for scc in sccs:
         members = sorted(scc)
         k = len(members)
         succ, pred = _local_masks(a, members)

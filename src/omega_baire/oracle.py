@@ -9,16 +9,17 @@ Two oracle routes are deliberately kept separate so that a bug in one cannot
 hide in the other: the loop route judges the realizable Inf sets of a
 product, while the lasso route evaluates concrete ultimately periodic words,
 one period per conjugacy class where that decides the same domain, and never
-enumerates loops.  The verifier's loop route decides whether a violating
-loop exists by the Emerson & Lei refinement of `loops.refined_loop`, one
-search per meagre entry that splits only the product SCCs that fail to
-decide it, and enumerates loops in `iter_loops` order only once one
-exists, so it reports the first of them.  Every counterexample
-either route reports is re-verified by direct acceptance evaluation before
-it is returned.  The exact check behind `b2-language` enumerates no loops
-either: per table block and required state z*, one level-order walk from
-each accepting product state, linear in the block's product region, tells
-whether that state lies on a cycle avoiding z*.
+enumerates loops.  The loop route, in the verifier and in
+`language_subset_oracle` alike, decides whether a violating loop exists by
+the Emerson & Lei refinement of `loops.refined_loop`, one search per table
+entry that splits only the product SCCs that fail to decide it.  Only once
+one exists does it enumerate loops, in `iter_loops` order and in the first
+product SCC that holds one alone, so it reports the first of them.  Every
+counterexample either route reports is re-verified by direct acceptance
+evaluation before it is returned.  The exact check behind `b2-language`
+enumerates no loops either: per table block and required state z*, one
+level-order walk from each accepting product state, linear in the block's
+product region, tells whether that state lies on a cycle avoiding z*.
 
 The checks of `verify_baire_witness`, in report order, with the budgets
 that can make them skip in brackets (F input, E open witness, F' meagre):
@@ -37,8 +38,10 @@ that can make them skip in brackets (F input, E open witness, F' meagre):
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Callable, Collection, Iterator
 
@@ -261,6 +264,46 @@ def _checked_verdict(
     return SubsetVerdict(False, w)
 
 
+def _first_violating_loop(
+    prod: ProductAutomaton,
+    searches: list[tuple[Collection[int], Callable, Callable]],
+    violates: Callable[[frozenset[int]], bool],
+    loop_budget: int,
+) -> frozenset[int] | None:
+    """The first loop in `iter_loops` order of `prod` that `violates` holds
+    of, or None.  A loop must violate exactly when, for some search (region,
+    wanted, rejected), it lies inside the region, `wanted` holds of it and
+    `rejected` of its right projection.
+
+    Whether there is one is decided first, by `refined_loop` once per
+    search, labelled by the right projection.  Only then are the searches
+    run again on the product SCCs below the one found, one SCC at a time in
+    id order, to find the first SCC that holds a violating loop.  That SCC
+    alone is enumerated, charged 2^|D| against `loop_budget`, so the loop
+    returned is the one that enumerating every loop would find first."""
+    P, right = prod.automaton, prod.right
+    for region, wanted, rejected in searches:
+        found = refined_loop(P, region, wanted, rejected, right, loop_budget)
+        if found is not None:
+            break
+    else:
+        return None
+    analysis = analyze(P)
+    scc_of = analysis.scc_of
+    first = scc_of[min(found)]
+    for region, wanted, rejected in searches:
+        below: dict[int, list[int]] = {}
+        for q in region:
+            if scc_of[q] < first:
+                below.setdefault(scc_of[q], []).append(q)
+        for d in sorted(below):
+            if refined_loop(P, below[d], wanted, rejected, right, loop_budget) is not None:
+                first = d
+                break
+    loops = iter_loops(P, budget=loop_budget, sccs=[analysis.sccs[first]])
+    return next(filter(violates, loops))
+
+
 def language_subset_oracle(
     aA: DetAutomaton,
     accA: Acceptance,
@@ -270,23 +313,48 @@ def language_subset_oracle(
     product_budget: int = DEFAULT_PRODUCT_BUDGET,
     loop_budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> SubsetVerdict:
-    """Decide L(aA, accA) <= L(aB, accB) by enumerating product loops.
+    """Decide L(aA, accA) <= L(aB, accB) on their product.
 
-    Exact but exponential in the product SCC sizes; intended for desk-scale
-    instances.  A False verdict carries a verified counterexample lasso.
+    A product loop violates inclusion when its left projection is accepted
+    and its right one is not.  Whether one exists is decided by the Emerson
+    & Lei refinement of `refined_loop`, with no loop enumerated: for a left
+    table, once per entry F over the product states above F, wanting loops
+    whose left projection is F; for a left Buchi set, once, wanting loops
+    that hit it.  A right table rejects a right projection that is no
+    entry; a right Buchi set removes the states above it from the search.
+    `loop_budget` caps the SCCs the refinement expands, and the subsets of
+    the one product SCC enumerated to pick the counterexample: the first
+    violating loop in `iter_loops` order.  A False verdict carries that
+    loop's lasso, verified by direct acceptance.
     """
     accA.validate_for(aA.n_states)
     accB.validate_for(aB.n_states)
     prod = product(aA, aB, budget=product_budget)
-    predA = _member_pred(accA)
-    predB = _member_pred(accB)
     left, right = prod.left, prod.right
-    for z in iter_loops(prod.automaton, budget=loop_budget):
-        zl = frozenset(left[q] for q in z)
-        zr = frozenset(right[q] for q in z)
-        if predA(zl) and not predB(zr):
-            return _checked_verdict(aA, accA, aB, accB, loop_lasso(prod.automaton, z))
-    return SubsetVerdict(True, None)
+    states: Collection[int] = range(prod.automaton.n_states)
+    if isinstance(accB, BuchiSet):
+        states = [q for q in states if right[q] not in accB.accepting]
+        rejected: Callable[[frozenset[int]], bool] = lambda zr: True
+    else:
+        rejected = lambda zr: zr not in accB.entries
+    if isinstance(accA, BuchiSet):
+        hits = accA.accepting
+        searches = [(states, lambda c: any(left[q] in hits for q in c), rejected)]
+    else:
+        searches = [
+            ([q for q in states if left[q] in f], lambda c, f=f: {left[q] for q in c} == f,
+             rejected)
+            for f in accA.entries
+        ]
+    predA, predB = _member_pred(accA), _member_pred(accB)
+
+    def violates(z: frozenset[int]) -> bool:
+        return predA(frozenset(left[q] for q in z)) and not predB(frozenset(right[q] for q in z))
+
+    z = _first_violating_loop(prod, searches, violates, loop_budget)
+    if z is None:
+        return SubsetVerdict(True, None)
+    return _checked_verdict(aA, accA, aB, accB, loop_lasso(prod.automaton, z))
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +482,69 @@ def _period_nodes(r: int, max_period: int, closed: bool) -> Iterator[int]:
             yield prenecklaces if j < max_period else lyn
 
 
+_JUDGED, _INNER = 1, 2  # the bits of a node's kind in `_walk_program`
+
+
+@lru_cache(maxsize=8)
+def _walk_program(
+    r: int, max_period: int, closed: bool
+) -> tuple[memoryview, memoryview, bytes]:
+    """The nodes of `bounded_lasso_scan`'s period walk in depth-first
+    preorder, as three read-only arrays: each node's depth (1 to
+    `max_period`), its last letter, and its kind, `_JUDGED` when its period
+    is judged and `_INNER` when it has children.  The walk depends only on
+    these three arguments, so it is built once and cached.
+
+    Preorder is lexicographic order, so the nodes come in runs: for each
+    word of length `max_period` in lexicographic order, its prefixes longer
+    than the one it shares with the word before it.  An open domain walks
+    and judges every word.  A closed one walks the prenecklaces, in the
+    order of Fredricksen, Kessler and Maiorana: the first new prefix of
+    each is a Lyndon word, judged, that the rest of the word repeats, so the
+    longer prefixes are walked unjudged, and the whole word is built only
+    when it is that Lyndon word: a leaf that is not judged is not built."""
+    m = max_period
+    depths = array("i")
+    letters = array("i")
+    kinds = bytearray()
+    # The kinds of a run's nodes by position.  Closed, the node at depth
+    # m - 1 gets children only from a leaf run after it.
+    if closed:
+        tail = bytes([_INNER]) * (m - 2) + b"\0"
+    else:
+        tail = bytes([_JUDGED | _INNER]) * (m - 1) + bytes([_JUDGED])
+    word = [0] * m
+    i = 0  # the first position where `word` differs from the word before it
+    parent = -1  # the index of the last node at depth m - 1
+    while True:
+        end = m if not closed or i == m - 1 else m - 1
+        depths.extend(range(i + 1, end + 1))
+        letters.extend(word[i:end])
+        if not closed:
+            kinds += tail[i:]
+        elif end == m:
+            kinds.append(_JUDGED)
+            if parent >= 0:
+                kinds[parent] |= _INNER
+        else:
+            kinds.append(tail[i] | _JUDGED)
+            kinds += tail[i + 1 :]
+            parent = len(kinds) - 1
+        if closed and word[0] == r - 1:
+            break  # the last prenecklace, (r - 1)^m
+        i = m - 1
+        while i >= 0 and word[i] == r - 1:
+            i -= 1
+        if i < 0:
+            break
+        word[i] += 1
+        if closed:  # repeat the Lyndon word word[:i + 1]
+            word[i + 1 :] = (word[: i + 1] * (m // (i + 1)))[: m - i - 1]
+        else:
+            word[i + 1 :] = [0] * (m - i - 1)
+    return memoryview(depths).toreadonly(), memoryview(letters).toreadonly(), bytes(kinds)
+
+
 def bounded_lasso_scan(
     a: DetAutomaton,
     violation: Callable[[frozenset[int]], bool],
@@ -446,17 +577,21 @@ def bounded_lasso_scan(
     those of walking every period.  A domain that is not closed is walked
     in full.
 
-    Each node of the period walk carries only its period map, the image of
-    every state under the period, composed from its parent's by one
-    `itemgetter` gather.  For each period one pass over the map, stamping
-    each state with the start whose walk entered it first, finds the cycle
-    every start falls into; each state is walked once per period, and only
-    a start that closes a new cycle needs a verdict, since the others share
-    the cycle of an earlier start.  Only then is an Inf set read: reading
-    the period from a state of the cycle, its anchor, visits the states the
-    maps of the period's prefixes send it to, and the walk holds those maps
-    down to the node, so gathering the anchors from each of them reads the
-    set.
+    The walk's shape depends only on the alphabet size, `max_period` and
+    whether the domain is closed, so it is a program built once, without
+    recursion, and cached (`_walk_program`): each node's depth, letter and
+    whether it is judged or has children.  The scan runs it as one flat
+    loop.  Each node carries only its period map, the image of every state
+    under the period, composed from its parent's by one `itemgetter`
+    gather; the period word is spelled only for the lasso returned.  For
+    each period one pass over the map, stamping each state with the start
+    whose walk entered it first, finds the cycle every start falls into;
+    each state is walked once per period, and only a start that closes a
+    new cycle needs a verdict, since the others share the cycle of an
+    earlier start.  Only then is an Inf set read: reading the period from a
+    state of the cycle, its anchor, visits the states the maps of the
+    period's prefixes send it to, and the walk holds those maps down to the
+    node, so gathering the anchors from each of them reads the set.
     Verdicts are memoized per Inf set for the whole call, so each distinct
     Inf set costs one call and `violation` must be a pure function of the
     Inf set.
@@ -498,9 +633,7 @@ def bounded_lasso_scan(
     walk = 0
     verdicts: dict[frozenset[int], bool] = {}
 
-    def violating_prefix(
-        mapping: tuple[int, ...], path: list[tuple[int, ...]]
-    ) -> tuple[str, ...] | None:
+    def violating_prefix(mapping: tuple[int, ...], depth: int) -> tuple[str, ...] | None:
         nonlocal walk
         first_walk = walk + 1
         for x, prefix in start_items:
@@ -512,17 +645,19 @@ def bounded_lasso_scan(
                 x = mapping[x]
             if stamp[x] != walk:
                 continue  # the cycle of an earlier start, which did not violate
-            # The Inf set: what the prefix maps send the cycle's states to;
-            # `itemgetter` of one state reads a state, of more a tuple.
+            # The Inf set: what the maps of the period's prefixes send the
+            # cycle's states to; `itemgetter` of one state reads a state, of
+            # more a tuple.
+            prefix_maps = islice(path, depth)
             y = mapping[x]
             if y == x:
-                inf = frozenset(map(itemgetter(x), path))
+                inf = frozenset(map(itemgetter(x), prefix_maps))
             else:
                 anchors = [x]
                 while y != x:
                     anchors.append(y)
                     y = mapping[y]
-                inf = frozenset(chain.from_iterable(map(itemgetter(*anchors), path)))
+                inf = frozenset(chain.from_iterable(map(itemgetter(*anchors), prefix_maps)))
             verdict = verdicts.get(inf)
             if verdict is None:
                 verdict = verdicts[inf] = bool(violation(inf))
@@ -530,39 +665,24 @@ def bounded_lasso_scan(
                 return prefix
         return None
 
-    path: list[tuple[int, ...]] = []
-
-    def dfs(mapping: tuple[int, ...], period_idx: tuple[int, ...], lyn: int) -> LassoWord | None:
-        # With lyn = 0 every period is walked and judged.  Otherwise only
-        # prenecklaces are walked and only Lyndon words judged: `lyn` is the
-        # length of the longest Lyndon prefix of `period_idx` (1 at the
-        # root), a child below the letter that repeats that prefix is no
-        # prenecklace, and a child is Lyndon when that prefix is all of it;
-        # a leaf that is not judged is not built.
-        depth = len(period_idx)
-        low = period_idx[depth - lyn] if lyn and depth else 0
-        leaf = depth + 1 == max_period
-        compose = itemgetter(*mapping)
-        for xi in range(low, r):
-            child_lyn = lyn if depth and xi == low else depth + 1
-            judge = not lyn or child_lyn > depth
-            if leaf and not judge:
-                continue
-            new_map = compose(step_maps[xi])
-            new_idx = period_idx + (xi,)
-            path.append(new_map)
-            if judge:
-                prefix = violating_prefix(new_map, path)
-                if prefix is not None:
-                    return LassoWord(prefix, tuple(a.alphabet[i] for i in new_idx))
-            if not leaf:
-                found = dfs(new_map, new_idx, lyn and child_lyn)
-                if found is not None:
-                    return found
-            path.pop()
-        return None
-
-    return dfs(tuple(range(n + 1)), (), 1 if closed else 0)
+    # path[d - 1] is the map of the current node's prefix of length d,
+    # gathers[d] the `itemgetter` of the last inner node at depth d (the
+    # identity at the root), and period[d - 1] its letter at depth d.
+    path: list[tuple[int, ...]] = [()] * max_period
+    gathers = [itemgetter(*range(n + 1))] * max_period
+    period = [0] * max_period
+    depths, letters, kinds = _walk_program(r, max_period, closed)
+    for d, x, kind in zip(depths, letters, kinds):
+        new_map = gathers[d - 1](step_maps[x])
+        path[d - 1] = new_map
+        period[d - 1] = x
+        if kind & _JUDGED:
+            prefix = violating_prefix(new_map, d)
+            if prefix is not None:
+                return LassoWord(prefix, tuple(a.alphabet[i] for i in period[:d]))
+        if kind & _INNER:
+            gathers[d] = itemgetter(*new_map)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -687,22 +807,21 @@ def _first_symdiff_loop(
 ) -> frozenset[int] | None:
     """The first loop in `iter_loops` order of the product of F (table `t`)
     and E (table `t1`) that satisfies `in_symdiff`: F and E disagree on
-    it and its left projection is an entry of `meagre`.
-
-    Whether there is one is decided first, by `refined_loop` once per entry
-    f of `meagre`, over the product states above f labelled by their right
-    projection: a loop whose left projection is f, and whose right
-    projection is an entry of `t1` exactly when f is no entry of `t`.  Only
-    then are loops enumerated, and charged as `iter_loops` charges them, to
-    return the first."""
+    it and its left projection is an entry of `meagre`.  One
+    `_first_violating_loop` search per entry f of `meagre`, over the
+    product states above f: a loop whose left projection is f, and whose
+    right projection is an entry of `t1` exactly when f is no entry of
+    `t`."""
     P, left = prod.automaton, prod.left
-    for f in meagre.entries:
-        region = [q for q in range(P.n_states) if left[q] in f]
-        in_t = f in t.entries
-        if refined_loop(P, region, lambda c: {left[q] for q in c} == f,
-                        lambda zr: (zr in t1.entries) != in_t, prod.right, loop_budget):
-            return next(filter(in_symdiff, iter_loops(P, budget=loop_budget)))
-    return None
+    searches = [
+        (
+            [q for q in range(P.n_states) if left[q] in f],
+            lambda c, f=f: {left[q] for q in c} == f,
+            lambda zr, in_t=f in t.entries: (zr in t1.entries) != in_t,
+        )
+        for f in meagre.entries
+    ]
+    return _first_violating_loop(prod, searches, in_symdiff, loop_budget)
 
 
 def verify_baire_witness(

@@ -429,6 +429,13 @@ class TestSelftest:
         assert code == 0
         assert " skipped=" in capsys.readouterr().out
 
+    def test_one_letter_long_lasso_bound_passes(self, capsys):
+        # Over one letter the period walk is a chain as deep as the bound.
+        code = cli_run(["selftest", "--trials", "2", "--seed", "1", "--alphabet", "1",
+                        "--lasso-bound", "2000"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "selftest trials=2 failures=0"
+
     def test_large_states_completes_with_skipped_oracles(self, capsys):
         # constructions run at any size; exhaustive checks skip over budget
         code = cli_run(["selftest", "--states", "600", "--trials", "2", "--seed", "5"])

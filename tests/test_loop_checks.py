@@ -29,6 +29,7 @@ from omega_baire import (
     build_meagre_complement,
     build_open_witness,
     check_maximal_loops,
+    inf_set,
     iter_loops,
     loop_lasso,
     maximal_muller_buchi_equiv,
@@ -40,6 +41,7 @@ from omega_baire import (
 from omega_baire.baire import OpenWitness
 from omega_baire.loops import DEFAULT_ENUMERATION_BUDGET, cyclic_sccs
 from omega_baire.oracle import DEFAULT_PRODUCT_BUDGET, SubsetVerdict, _checked_verdict
+from conftest import random_automaton, random_table
 
 
 def reference_equiv(aA, t, aB, b, *, product_budget=DEFAULT_PRODUCT_BUDGET, analysis=None):
@@ -80,6 +82,28 @@ def reference_equiv(aA, t, aB, b, *, product_budget=DEFAULT_PRODUCT_BUDGET, anal
             if z is not None:
                 return _checked_verdict(aB, b, aA, t, loop_lasso(P, z))
     return SubsetVerdict(True, None)
+
+
+def reference_subset_oracle(aA, accA, aB, accB, *, loop_budget=DEFAULT_ENUMERATION_BUDGET):
+    """`language_subset_oracle` by testing every product loop in
+    `iter_loops` order, charged 2^|D| for every product SCC D up front."""
+    accA.validate_for(aA.n_states)
+    accB.validate_for(aB.n_states)
+    prod = product(aA, aB)
+    left, right = prod.left, prod.right
+    for z in iter_loops(prod.automaton, budget=loop_budget):
+        zl = frozenset(left[q] for q in z)
+        zr = frozenset(right[q] for q in z)
+        if accepted(accA, zl) and not accepted(accB, zr):
+            return _checked_verdict(aA, accA, aB, accB, loop_lasso(prod.automaton, z))
+    return SubsetVerdict(True, None)
+
+
+def accepted(acc, z) -> bool:
+    """Whether an Inf set `z` is accepted by a Muller table or a Buchi set."""
+    if isinstance(acc, MullerTable):
+        return z in acc.entries
+    return not z.isdisjoint(acc.accepting)
 
 
 def reference_first_symdiff_loop(prod, in_symdiff, t, t1, meagre, loop_budget):
@@ -381,6 +405,50 @@ def test_refined_loop_finds_a_loop_iff_enumeration_does():
                         except SizeGuard:
                             split += 1
     assert found >= 100 and split >= 20
+
+
+def test_subset_oracle_matches_reference():
+    # Random pairs with a Muller table or a Buchi set on either side: the
+    # same verdict and counterexample as enumerating every product loop.
+    # Where the reference runs over its loop budget, the oracle may decide,
+    # with a verified counterexample.  Many pairs hold their first violating
+    # loop in a product SCC after a cyclic one.
+    rng = random.Random(89)
+    kinds = set()
+    later = over = 0
+    for case in range(1200):
+        sides = []
+        for muller in (case % 2, case // 2 % 2):
+            n = rng.randint(1, 5)
+            a = random_automaton(rng, n)
+            if muller:
+                sides.append((a, random_table(rng, n)))
+            else:
+                sides.append((a, BuchiSet(s for s in range(n) if rng.random() < 0.4)))
+        (aA, accA), (aB, accB) = sides
+        budget = rng.choice((1 << 6, DEFAULT_ENUMERATION_BUDGET))
+        try:
+            ref = reference_subset_oracle(aA, accA, aB, accB, loop_budget=budget)
+        except SizeGuard:
+            ref = None
+        try:
+            got = oracle_mod.language_subset_oracle(aA, accA, aB, accB, loop_budget=budget)
+        except SizeGuard:
+            assert ref is None
+            continue
+        kinds.add((type(accA), type(accB), got.holds))
+        if ref is None:
+            over += 1
+            continue
+        assert got == ref
+        if not ref.holds:
+            P = product(aA, aB).automaton
+            analysis = analyze(P)
+            first_loop = next(iter_loops(P, analysis=analysis))
+            bad_loop = inf_set(P, ref.counterexample)
+            later += analysis.scc_of[min(bad_loop)] > analysis.scc_of[min(first_loop)]
+    assert len(kinds) == 8
+    assert later >= 40 and over >= 40
 
 
 def test_refined_loop_over_budget():

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -13,6 +14,7 @@ from omega_baire import (
     LassoWord,
     MullerTable,
     SizeGuard,
+    SubsetVerdict,
     accepts,
     accepts_buchi,
     accepts_muller,
@@ -33,7 +35,15 @@ from omega_baire import (
     RandomSpec,
 )
 from omega_baire.loops import enumerate_loops
-from omega_baire.oracle import DEFAULT_PRODUCT_BUDGET, lasso_domain_size
+from omega_baire.oracle import (
+    DEFAULT_PRODUCT_BUDGET,
+    DEFAULT_SCAN_BUDGET,
+    _INNER,
+    _JUDGED,
+    _period_nodes,
+    _walk_program,
+    lasso_domain_size,
+)
 from conftest import exhaustive_lassos, random_automaton, random_lasso, random_table
 
 
@@ -219,6 +229,13 @@ class TestSubsetOracle:
             fast = table_subset_same_automaton(a, t1, t2)
             slow = language_subset_oracle(a, t1, a, t2)
             assert fast == slow.holds
+
+    def test_a_language_is_included_in_itself(self):
+        # Every product SCC of L x L is a diagonal: the refinement settles
+        # each entry without enumerating a loop, at the default budgets.
+        for seed in range(10):
+            a, t = random_instance(RandomSpec(40, 2, 4, seed))
+            assert language_subset_oracle(a, t, a, t) == SubsetVerdict(True, None)
 
     def test_completeness_vs_bounded_scan(self):
         # Whenever the oracle claims inclusion, no bounded lasso violates it;
@@ -503,13 +520,15 @@ class TestBoundedLassoScan:
         assert kinds == {True, False}
 
     @staticmethod
-    def _walk_nodes(r, max_period, closed):
-        """The period nodes a scan builds, counted from the definitions: a
-        necklace is no greater than any of its rotations, a Lyndon word is
-        less than all its proper rotations, and a prenecklace is a prefix of
-        a necklace (of fewer than twice its length)."""
+    def _walk_words(r, max_period, closed):
+        """The periods a scan walks, as letter-index tuples, and those it
+        judges, both from the definitions: a necklace is no greater than any
+        of its rotations, a Lyndon word is less than all its proper
+        rotations, and a prenecklace is a prefix of a necklace (of fewer
+        than twice its length)."""
+        words = [w for j in range(1, max_period + 1) for w in itertools.product(range(r), repeat=j)]
         if not closed:
-            return sum(r**j for j in range(1, max_period + 1))
+            return set(words), set(words)
 
         def rotations(w):
             return [w[i:] + w[:i] for i in range(1, len(w))]
@@ -519,12 +538,67 @@ class TestBoundedLassoScan:
             for w in itertools.product(range(r), repeat=m):
                 if all(w <= v for v in rotations(w)):
                     prenecklaces.update(w[:j] for j in range(1, max_period))
-        lyndon = [
-            w
-            for w in itertools.product(range(r), repeat=max_period)
-            if all(w < v for v in rotations(w))
-        ]
-        return len(prenecklaces) + len(lyndon)
+        lyndon = {w for w in words if all(w < v for v in rotations(w))}
+        return prenecklaces | {w for w in lyndon if len(w) == max_period}, lyndon
+
+    @classmethod
+    def _walk_nodes(cls, r, max_period, closed):
+        """The number of period nodes a scan builds."""
+        return len(cls._walk_words(r, max_period, closed)[0])
+
+    def test_walk_program(self):
+        # The program's nodes are the walked periods in preorder, which is
+        # sorted order, with the judged ones flagged; a node has children
+        # exactly when the next node is deeper; and each depth holds the
+        # nodes that `_period_nodes` charges for.
+        for r, top in ((1, 9), (2, 7), (3, 4)):
+            for max_period in range(1, top + 1):
+                for closed in (True, False):
+                    depths, letters, kinds = _walk_program(r, max_period, closed)
+                    word, nodes, judged = [], [], []
+                    for d, x, kind in zip(depths, letters, kinds):
+                        word[d - 1 :] = [x]
+                        nodes.append(tuple(word))
+                        if kind & _JUDGED:
+                            judged.append(tuple(word))
+                    walked, lyndon = self._walk_words(r, max_period, closed)
+                    assert nodes == sorted(walked)
+                    assert judged == sorted(lyndon)
+                    inner = [d < e for d, e in zip(depths, depths[1:])] + [False]
+                    assert [bool(kind & _INNER) for kind in kinds] == inner
+                    per_depth = [list(depths).count(d) for d in range(1, max_period + 1)]
+                    assert per_depth == list(_period_nodes(r, max_period, closed))
+
+    def test_walk_program_memory_at_the_budget_edge(self):
+        # One state and one letter: the default budget admits a closed walk
+        # of 524,288 nodes, one per depth below the period bound 524,289.
+        # The program keeps 9 bytes a node, plus its arrays' slack, and
+        # building it peaks near 25 bytes a node.
+        max_period = 524_289
+        nodes = sum(_period_nodes(1, max_period, True))
+        assert nodes == DEFAULT_SCAN_BUDGET
+        assert sum(_period_nodes(1, max_period + 1, True)) > DEFAULT_SCAN_BUDGET
+        tracemalloc.start()
+        try:
+            program = _walk_program.__wrapped__(1, max_period, True)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(program[0]) == nodes
+        assert kept <= 12 * nodes, kept / nodes
+        assert peak <= 40 * nodes, peak / nodes
+
+    def test_long_periods_walk_without_recursion(self):
+        # A one-state loop at period 1100 and a 3-cycle at period 2000, over
+        # one letter, closed and open: the walk is one chain of that depth.
+        never = lambda z: False
+        one = DetAutomaton(alphabet=("a",), n_states=1, initial=0, delta=(0,))
+        cycle = DetAutomaton(alphabet=("a",), n_states=3, initial=0, delta=(1, 2, 0))
+        assert bounded_lasso_scan(one, never, 0, 1100) is None
+        for max_prefix in (0, 2):
+            assert bounded_lasso_scan(cycle, never, max_prefix, 2000) is None
+        got = bounded_lasso_scan(cycle, lambda z: z == {0, 1, 2}, 0, 2000)
+        assert got == LassoWord((), ("a",))
 
     def test_budget_charges_the_nodes_built(self):
         # The scan runs at a budget of n steps per node it builds, and one
